@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from qsmooth import smoothing
+from qsmooth import qmath, smoothing
 from qsmooth.cli import _write_csv
 from qsmooth.dynamics import ModelParams, build_step_operators, filter_batch
 
@@ -52,11 +52,7 @@ def main():
     jumps = np.nonzero(res.record.outcomes >= 0.5)[0] * p.dt
     print(f"trajectory index {chosen}: detections at t = {np.round(jumps, 3)}")
 
-    def bloch(states):
-        return np.stack([2 * states[:, 1, 0].real, 2 * states[:, 1, 0].imag,
-                         (states[:, 0, 0] - states[:, 1, 1]).real], axis=1)
-
-    bf, bs = bloch(res.filtered), bloch(res.smoothed)
+    bf, bs = qmath.bloch_vector(res.filtered), qmath.bloch_vector(res.smoothed)
     cfg = {"omega": args.omega, "nbar": args.nbar, "dt": args.dt,
            "t_final": args.t_final, "seed": args.seed, "traj_index": chosen,
            "unraveling": "jump"}

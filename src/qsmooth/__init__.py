@@ -9,9 +9,7 @@ from .dynamics import (
     StepOperators,
     build_step_operators,
     filter_trajectory,
-    sample_step,
     unconditional_series,
-    unconditional_step,
 )
 from .ensemble import EnsembleSpec, criterion2_enumerate, run_ensemble
 from .qmath import NotPSDError, ZeroTraceError, hermitian_sqrt, min_eigenvalue, pinv_sqrt, purity

@@ -233,9 +233,9 @@ def cmd_simulate(cfg):
         smoothed = smoothing.petz_fuchs_series(fr.states, eff.effects)
     uncond = unconditional_series(p)
 
-    bloch_f = _bloch(fr.states)
-    bloch_s = _bloch(smoothed)
-    bloch_u = _bloch(uncond)
+    bloch_f = qmath.bloch_vector(fr.states)
+    bloch_s = qmath.bloch_vector(smoothed)
+    bloch_u = qmath.bloch_vector(uncond)
     pur_f = np.einsum("tij,tji->t", fr.states, fr.states).real
     pur_s = np.einsum("tij,tji->t", smoothed, smoothed).real
 
@@ -248,7 +248,7 @@ def cmd_simulate(cfg):
     if "gw" in cfg["smoothers"]:
         gw = smoothing.gw_smooth(fr.record, p, cfg["bob_unraveling"],
                                  cfg["n_bob"], seed=p.seed)
-        gb = _bloch(gw.gw)
+        gb = qmath.bloch_vector(gw.gw)
         extras.extend([("gx", gb[:, 0]), ("gy", gb[:, 1]), ("gz", gb[:, 2]),
                        ("p_gw", np.einsum("tij,tji->t", gw.gw, gw.gw).real),
                        ("p_gw_pf", np.einsum("tij,tji->t", gw.gw_pf, gw.gw_pf).real),
@@ -294,14 +294,6 @@ def cmd_simulate(cfg):
             doc[name] = np.asarray(col).tolist()
         _write_json(cfg["out"], doc)
     return 0
-
-
-def _bloch(states):
-    out = np.empty((states.shape[0], 3))
-    out[:, 0] = 2.0 * states[:, 1, 0].real
-    out[:, 1] = 2.0 * states[:, 1, 0].imag
-    out[:, 2] = (states[:, 0, 0] - states[:, 1, 1]).real
-    return out
 
 
 # -- ensemble -------------------------------------------------------------------

@@ -15,6 +15,14 @@ photon counting this just renormalizes the state each step; for homodyne
 the Gaussian ostensible noise dW is shifted by the quadrature mean and
 retained in the record).
 
+All propagation goes through one transfer-matrix core. In the orthonormal
+Hermitian basis of `hermitian_basis` (the Pauli basis for a qubit) each
+F_y is a real d^2 x d^2 matrix S_y acting on the real coordinate vector of
+a state, and the adjoint F_y^dag is its transpose. `StepOperators` builds
+the matrices once from its Kraus lists: S_0 and S_1 for photon counting,
+and S_y = A + y B + y^2 C for homodyne, where M_y is affine in y. Forward
+steps compute r <- S_y r, backward steps e <- S_y^T e.
+
 The filtering engine is vectorized over a batch of trajectories; a single
 trajectory is the batch of size one. All per-trajectory randomness comes
 from an independent stream derived from (master seed, trajectory index).
@@ -22,16 +30,19 @@ from an independent stream derived from (master seed, trajectory index).
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from . import qmath
+from . import channels, qmath
 from .channels import CPMap
 from .qmath import GROUND, SIGMA_MINUS, SIGMA_PLUS, SIGMA_Y, dag, mm, trace_of
 
 UNRAVELINGS = ("jump", "homodyne_x", "homodyne_y")
+_DEFAULT_PHI = {"homodyne_x": 0.0, "homodyne_y": np.pi / 2}
 
 
 class InvalidParamsError(ValueError):
@@ -96,8 +107,7 @@ class ModelParams:
             raise InvalidParamsError(
                 "dt too large: gamma*(nbar+1)*dt must stay below 1")
         if self.phi is None:
-            phi = {"homodyne_x": 0.0, "homodyne_y": np.pi / 2}.get(self.unraveling)
-            object.__setattr__(self, "phi", phi)
+            object.__setattr__(self, "phi", _DEFAULT_PHI.get(self.unraveling))
         rho0 = GROUND if self.rho0 is None else self.rho0
         object.__setattr__(self, "rho0", _validated_rho0(rho0))
 
@@ -118,21 +128,80 @@ class ModelParams:
         return self.unraveling != "jump"
 
     def replace(self, **kw):
-        """Copy with the given fields replaced."""
-        current = dict(
-            omega=self.omega, nbar=self.nbar, unraveling=self.unraveling,
-            gamma=self.gamma, phi=self.phi, dt=self.dt, t_final=self.t_final,
-            rho0=self.rho0, eta=self.eta, seed=self.seed)
-        if "unraveling" in kw and "phi" not in kw:
-            current["phi"] = None
-        current.update(kw)
-        return ModelParams(**current)
+        """Copy with the given fields replaced; a new unraveling resets phi."""
+        if "unraveling" in kw:
+            kw.setdefault("phi", None)
+        return dataclasses.replace(self, **kw)
 
 
 def _expm_hermitian(h, scale):
     """exp(1j * scale * H) for Hermitian H via eigendecomposition."""
     w, v = np.linalg.eigh(h)
     return (v * np.exp(1j * scale * w)) @ dag(v)
+
+
+# -- the transfer-matrix core ---------------------------------------------------
+
+def hermitian_basis(d):
+    """Orthonormal Hermitian basis G_a, Tr[G_a G_b] = delta_ab, shape (d^2, d, d).
+
+    G_0 = 1/sqrt(d), then one symmetric and one antisymmetric matrix per
+    off-diagonal pair, then the traceless diagonals; for d = 2 this is
+    (1, X, Y, Z) / sqrt(2).
+    """
+    out = [np.eye(d, dtype=complex) / np.sqrt(d)]
+    for j in range(d):
+        for k in range(j + 1, d):
+            for upper, lower in ((1.0, 1.0), (-1j, 1j)):
+                g = np.zeros((d, d), dtype=complex)
+                g[j, k], g[k, j] = upper / np.sqrt(2), lower / np.sqrt(2)
+                out.append(g)
+    for l in range(1, d):
+        diag = np.zeros(d)
+        diag[:l], diag[l] = 1.0, -l
+        out.append(np.diag(diag / np.sqrt(l * (l + 1))).astype(complex))
+    return np.array(out)
+
+
+def to_vector(m, basis):
+    """Real coordinates Tr[G_a m] of Hermitian matrices, shape (..., d^2)."""
+    return np.einsum("aij,...ji->...a", basis, m).real
+
+
+def to_matrix(r, basis):
+    """Matrices sum_a r_a G_a from coordinates, shape (..., d, d).
+
+    Explicit multiply-adds, so an entry's bits do not depend on the shape
+    of the batch it sits in.
+    """
+    r = np.asarray(r)[..., None, None]
+    out = r[..., 0, :, :] * basis[0]
+    for a in range(1, basis.shape[0]):
+        out += r[..., a, :, :] * basis[a]
+    return out
+
+
+def vector_trace(r):
+    """Tr of the matrices with coordinates r; only G_0 has a trace."""
+    return math.sqrt(math.isqrt(r.shape[-1])) * r[..., 0]
+
+
+def transfer_matrix(cpmap, basis):
+    """Real matrix S of a CP map, vec(F(m)) = S vec(m); F^dag has S^T."""
+    return np.stack([to_vector(channels.apply(cpmap, g), basis) for g in basis],
+                    axis=-1)
+
+
+def stack_products(stack, r):
+    """stack @ r_n for every row r_n of r: (N, m) from (m, d^2) and (N, d^2).
+
+    Explicit multiply-adds, so a row's bits do not depend on the batch
+    width (a BLAS product may block differently as N changes).
+    """
+    out = r[:, :1] * stack[:, 0]
+    for j in range(1, r.shape[1]):
+        out += r[:, j:j + 1] * stack[:, j]
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,6 +211,12 @@ class StepOperators:
     `c` is the monitored (detected) collapse operator, `a` the unmeasured
     absorption operator; `k` holds the dissipation Kraus list for every
     unmeasured channel, with k[0] the exact no-event square root.
+
+    `blocks` are the transfer matrices F_y is assembled from: (S_0, S_1)
+    for photon counting, (A, B, C) with S_y = A + y B + y^2 C for homodyne.
+    `forward` stacks them; for homodyne one more row gives the quadrature
+    mean Tr[x K(rho)] after the dissipation K. `backward` stacks their
+    transposes.
     """
 
     u: np.ndarray
@@ -158,23 +233,50 @@ class StepOperators:
     xquad: Optional[np.ndarray] = field(init=False)
     _hom_base: Optional[np.ndarray] = field(init=False)
     _hom_lin: Optional[np.ndarray] = field(init=False)
+    basis: np.ndarray = field(init=False)
+    blocks: tuple = field(init=False)
+    forward: np.ndarray = field(init=False)
+    backward: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        if self.unraveling not in UNRAVELINGS:
+            raise ValueError(
+                f"unraveling must be one of {UNRAVELINGS}, got {self.unraveling!r}")
         ctc = mm(dag(self.c), self.c)
         object.__setattr__(self, "ctc", ctc)
         eye = np.eye(self.dim, dtype=complex)
         object.__setattr__(self, "m1", np.sqrt(self.dt) * self.c)
         object.__setattr__(self, "m0", qmath.hermitian_sqrt(eye - ctc * self.dt))
+        basis = hermitian_basis(self.dim)
+        object.__setattr__(self, "basis", basis)
         if self.unraveling == "jump":
             object.__setattr__(self, "xquad", None)
             object.__setattr__(self, "_hom_base", None)
             object.__setattr__(self, "_hom_lin", None)
+            blocks = tuple(transfer_matrix(self.conditional_map(y), basis) for y in (0, 1))
+            extra = ()
         else:
+            if self.phi is None:
+                object.__setattr__(self, "phi", _DEFAULT_PHI[self.unraveling])
             ph = np.exp(1j * self.phi)
             object.__setattr__(self, "xquad", self.c * ph + dag(self.c) * np.conj(ph))
             y2 = ctc * self.dt
             object.__setattr__(self, "_hom_base", eye - 0.5 * y2 + 0.125 * mm(y2, y2))
             object.__setattr__(self, "_hom_lin", self.c * ph * self.dt)
+            # F_y is quadratic in y: read A, B, C off three evaluations at
+            # the size of a typical current, 1/sqrt(dt). At y = +-1 the
+            # O(dt^2) term C would come out of an O(1) difference, and S_y
+            # would miss F_y by up to 3e-12 at realistic currents.
+            scale = 1.0 / np.sqrt(self.dt)
+            s_m, s_0, s_p = (transfer_matrix(self.conditional_map(y * scale), basis)
+                             for y in (-1.0, 0.0, 1.0))
+            blocks = (s_0, (s_p - s_m) / (2.0 * scale),
+                      (0.5 * (s_p + s_m) - s_0) / scale ** 2)
+            mean = channels.adjoint_apply(self.dissipation_map(), self.xquad)
+            extra = (to_vector(mean, basis)[None, :],)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "forward", np.vstack(blocks + extra))
+        object.__setattr__(self, "backward", np.vstack([b.T for b in blocks]))
 
     @property
     def dim(self):
@@ -206,19 +308,9 @@ class StepOperators:
 
     # -- measurement operators -------------------------------------------
 
-    def jump_measurement_ops(self, p_ost=None):
-        """(M_0, M_1) for photon counting.
-
-        With p_ost given, returns the operators referenced to that
-        ostensible click probability, M_1 = sqrt(dt / p_ost) c and
-        M_0 = sqrt((1 - c^dag c dt) / (1 - p_ost)); both are scalar
-        rescalings of the physical pair returned when p_ost is None.
-        """
-        if p_ost is None:
-            return self.m0, self.m1
-        if not (0.0 < p_ost < 1.0):
-            raise ValueError(f"ostensible probability must be in (0, 1), got {p_ost}")
-        return self.m0 / np.sqrt(1.0 - p_ost), self.m1 / np.sqrt(p_ost)
+    def jump_measurement_ops(self):
+        """(M_0, M_1) for photon counting."""
+        return self.m0, self.m1
 
     def homodyne_measurement_op(self, y):
         """M_y = 1 + c e^{i phi} y dt - c^dag c dt / 2 + (c^dag c dt)^2 / 8."""
@@ -249,9 +341,29 @@ class StepOperators:
             ops.extend(mm(um, kk) for kk in self.k)
         return CPMap(tuple(ops))
 
+    # -- transfer matrices --------------------------------------------------
 
-def build_step_operators(p: ModelParams) -> StepOperators:
-    """Step operators for the driven thermal qubit.
+    def combine(self, u, y):
+        """S_y r for each row of u = stack @ r, with stack `forward`, `backward`
+        or one built from them; y is one outcome per row, or a scalar.
+
+        Photon counting picks the block of the outcome; homodyne sums the
+        polynomial in y. Applied to the side-by-side blocks it gives S_y.
+        """
+        n = self.dim ** 2
+        parts = [u[..., i * n:(i + 1) * n] for i in range(len(self.blocks))]
+        y = np.asarray(y, dtype=float)[..., None]
+        if self.unraveling == "jump":
+            return np.where(y >= 0.5, parts[1], parts[0])
+        return parts[0] + y * (parts[1] + y * parts[2])
+
+    def transfer(self, y):
+        """The transfer matrix S_y of F_y for one outcome."""
+        return self.combine(np.hstack(self.blocks), y)
+
+
+def model_operators(p: ModelParams):
+    """(H, monitored c, unmeasured Lindblad operators) of the driven qubit.
 
     H = omega sigma_y / 2, monitored channel sqrt(eta gamma (nbar+1)) sigma-,
     unmeasured channels sqrt(gamma nbar) sigma+ plus, for eta < 1, the
@@ -259,35 +371,46 @@ def build_step_operators(p: ModelParams) -> StepOperators:
     """
     h = 0.5 * p.omega * SIGMA_Y
     c_full = np.sqrt(p.gamma * (p.nbar + 1.0)) * SIGMA_MINUS
-    c = np.sqrt(p.eta) * c_full
-    a = np.sqrt(p.gamma * p.nbar) * SIGMA_PLUS
-    unmeasured = [a]
+    unmeasured = [np.sqrt(p.gamma * p.nbar) * SIGMA_PLUS]
     if p.eta < 1.0:
         unmeasured.append(np.sqrt(1.0 - p.eta) * c_full)
-    ops = StepOperators.from_operators(
-        h, c, unmeasured, p.dt, p.unraveling, phi=p.phi)
-    return ops
+    return h, np.sqrt(p.eta) * c_full, unmeasured
+
+
+def build_step_operators(p: ModelParams) -> StepOperators:
+    """Step operators for the driven thermal qubit (see `model_operators`)."""
+    return StepOperators.from_operators(
+        *model_operators(p), p.dt, p.unraveling, phi=p.phi)
+
+
+def sample_outcomes(ops: StepOperators, u, r, noise):
+    """Outcomes drawn from their actual distribution, given u = stack @ r.
+
+    Photon counting clicks when the uniform draw falls below t1 / (t0 + t1),
+    the traces of the two blocks; homodyne adds dW/dt to the quadrature
+    mean read off the last row of u. Returns (outcomes, t0 + t1) or
+    (outcomes, mean).
+    """
+    if ops.unraveling == "jump":
+        n = ops.dim ** 2
+        t0, t1 = vector_trace(u[:, :n]), vector_trace(u[:, n:2 * n])
+        total = t0 + t1
+        return (noise < t1 / total).astype(float), total
+    mean = u[:, -1] / vector_trace(r)
+    return mean + noise / ops.dt, mean
 
 
 # -- unconditional evolution ----------------------------------------------
 
-def unconditional_step(p: ModelParams, rho, ops: StepOperators | None = None):
-    """One step of the outcome-summed channel; trace is preserved."""
-    ops = build_step_operators(p) if ops is None else ops
-    from . import channels
-    return channels.apply(ops.unconditional_map(), rho)
-
-
 def unconditional_series(p: ModelParams):
     """Unconditional evolution on the full grid, shape (n+1, d, d)."""
     ops = build_step_operators(p)
-    emap = ops.unconditional_map()
-    from . import channels
-    out = np.empty((p.n_steps + 1, p.dim, p.dim), dtype=complex)
-    out[0] = p.rho0
+    s_mat = transfer_matrix(ops.unconditional_map(), ops.basis)
+    r = np.empty((p.n_steps + 1, p.dim ** 2))
+    r[0] = to_vector(p.rho0, ops.basis)
     for s in range(p.n_steps):
-        out[s + 1] = channels.apply(emap, out[s])
-    return out
+        r[s + 1] = s_mat @ r[s]
+    return to_matrix(r, ops.basis)
 
 
 # -- records and filtering --------------------------------------------------
@@ -315,12 +438,6 @@ class MeasurementRecord:
         if self.unraveling != "jump":
             raise ValueError("detection count is defined for jump records only")
         return int(np.sum(self.outcomes >= 0.5))
-
-
-@dataclass(eq=False)
-class StepOutcome:
-    value: float
-    dw: Optional[float] = None
 
 
 @dataclass(eq=False)
@@ -361,94 +478,40 @@ def trajectory_stream(master_seed, index, domain=0):
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def sample_step(p: ModelParams, rho_norm, rng, ops: StepOperators | None = None):
-    """Draw one measurement outcome from the actual distribution.
-
-    Returns (StepOutcome, rng). For photon counting the click probability
-    is dt Tr[c^dag c K(rho)] / Tr[K(rho)]; for homodyne the current is the
-    quadrature mean of K(rho) plus dW/dt with dW ~ Normal(0, dt), and dW is
-    reported alongside.
-    """
-    ops = build_step_operators(p) if ops is None else ops
-    from . import channels
-    rho_k = channels.apply(ops.dissipation_map(), np.asarray(rho_norm, dtype=complex))
-    trk = trace_of(rho_k).real
-    if p.unraveling == "jump":
-        p1 = p.dt * trace_of(mm(ops.ctc, rho_k)).real / trk
-        click = float(rng.random() < p1)
-        return StepOutcome(click, None), rng
-    mean = trace_of(mm(ops.xquad, rho_k)).real / trk
-    dw = rng.normal(0.0, np.sqrt(p.dt))
-    return StepOutcome(mean + dw / p.dt, dw), rng
-
-
-def _sandwich_const(op, rho):
-    """op @ rho @ op^dag with a constant operator over a batch of states."""
-    return np.einsum("ij,njk,lk->nil", op, rho, np.conj(op))
-
-
-def _sandwich_batch(ops_batch, rho):
-    """op_n @ rho_n @ op_n^dag with per-trajectory operators."""
-    return np.einsum("nij,njk,nlk->nil", ops_batch, rho, np.conj(ops_batch))
-
-
-def _trace_with(op, rho):
-    """Re Tr[op @ rho_n] for a constant operator."""
-    return np.einsum("ij,nji->n", op, rho).real
-
-
 def filter_batch(p: ModelParams, ops: StepOperators, traj_indices,
                  master_seed=None):
     """Filter a batch of trajectories in lockstep.
 
-    Returns (outcomes (N, n), noise (N, n) or None, states (N, n+1, d, d),
-    log_weight (N, n+1)). Trajectory i consumes only the stream derived
-    from (master_seed, traj_indices[i]), so results do not depend on how
+    Returns (outcomes (N, n), noise (N, n) or None, states (N, n+1, d^2),
+    log_weight (N, n+1)); states are coordinate vectors in `ops.basis`.
+    Trajectory i consumes only the stream derived from
+    (master_seed, traj_indices[i]), so results do not depend on how
     trajectories are grouped into batches.
     """
     master_seed = p.seed if master_seed is None else master_seed
     n = p.n_steps
-    d = p.dim
     idx = list(traj_indices)
     nb = len(idx)
-    if p.is_homodyne:
-        noise = np.empty((nb, n))
-        for row, i in enumerate(idx):
-            noise[row] = trajectory_stream(master_seed, i).normal(
-                0.0, np.sqrt(p.dt), size=n)
-    else:
-        noise = np.empty((nb, n))
-        for row, i in enumerate(idx):
-            noise[row] = trajectory_stream(master_seed, i).random(n)
+    noise = np.empty((nb, n))
+    for row, i in enumerate(idx):
+        rng = trajectory_stream(master_seed, i)
+        noise[row] = rng.normal(0.0, np.sqrt(p.dt), size=n) if p.is_homodyne \
+            else rng.random(n)
 
-    states = np.empty((nb, n + 1, d, d), dtype=complex)
+    states = np.empty((nb, n + 1, p.dim ** 2))
     log_weight = np.zeros((nb, n + 1))
     outcomes = np.empty((nb, n))
-    rho = np.broadcast_to(p.rho0, (nb, d, d)).copy()
-    states[:, 0] = rho
+    r = np.broadcast_to(to_vector(p.rho0, ops.basis), states[:, 0].shape).copy()
+    states[:, 0] = r
 
     for s in range(n):
-        rho_k = _sandwich_const(ops.k[0], rho)
-        for kk in ops.k[1:]:
-            rho_k += _sandwich_const(kk, rho)
-        trk = np.einsum("nii->n", rho_k).real
-        if p.is_homodyne:
-            mean = _trace_with(ops.xquad, rho_k) / trk
-            y = mean + noise[:, s] / p.dt
-            outcomes[:, s] = y
-            m = ops._hom_base[None, :, :] + y[:, None, None] * ops._hom_lin[None, :, :]
-            rho_m = _sandwich_batch(m, rho_k)
-        else:
-            p1 = p.dt * _trace_with(ops.ctc, rho_k) / trk
-            click = noise[:, s] < p1
-            outcomes[:, s] = click
-            m = np.where(click[:, None, None], ops.m1[None, :, :], ops.m0[None, :, :])
-            rho_m = _sandwich_batch(m, rho_k)
-        rho_u = _sandwich_const(ops.u, rho_m)
-        w = np.einsum("nii->n", rho_u).real
+        u = stack_products(ops.forward, r)
+        outcomes[:, s], _ = sample_outcomes(ops, u, r, noise[:, s])
+        r = ops.combine(u, outcomes[:, s])
+        w = vector_trace(r)
         log_weight[:, s + 1] = log_weight[:, s] + np.log(w)
-        rho = rho_u / w[:, None, None]
-        states[:, s + 1] = rho
+        r = r / w[:, None]
+        states[:, s + 1] = r
     return outcomes, (noise if p.is_homodyne else None), states, log_weight
 
 
@@ -464,5 +527,5 @@ def filter_trajectory(p: ModelParams, traj_index=0,
     record = MeasurementRecord(
         unraveling=p.unraveling, dt=p.dt, outcomes=outcomes[0],
         ostensible_noise=None if noise is None else noise[0])
-    return FilterResult(params=p, record=record, states=states[0],
-                        log_weight=logw[0])
+    return FilterResult(params=p, record=record,
+                        states=to_matrix(states[0], ops.basis), log_weight=logw[0])

@@ -13,9 +13,17 @@ from typing import Optional
 
 import numpy as np
 
-from . import channels, qmath, smoothing
-from .dynamics import ModelParams, build_step_operators, filter_batch, filter_trajectory
-from .qmath import trace_of
+from . import qmath, smoothing
+from .dynamics import (
+    ModelParams,
+    build_step_operators,
+    filter_batch,
+    filter_trajectory,
+    stack_products,
+    to_matrix,
+    to_vector,
+    vector_trace,
+)
 
 ALL_OUTPUTS = (
     "avg_purity_filtered",
@@ -89,15 +97,6 @@ class EnsembleResult:
         return float(np.mean(series[sel]))
 
 
-def _bloch_series(states):
-    """Bloch components of a stack of qubit states, shape (..., 3)."""
-    out = np.empty(states.shape[:-2] + (3,))
-    out[..., 0] = 2.0 * states[..., 1, 0].real
-    out[..., 1] = 2.0 * states[..., 1, 0].imag
-    out[..., 2] = (states[..., 0, 0] - states[..., 1, 1]).real
-    return out
-
-
 def run_ensemble(spec: EnsembleSpec) -> EnsembleResult:
     """Monte-Carlo ensemble of filtered and smoothed trajectories.
 
@@ -132,21 +131,23 @@ def run_ensemble(spec: EnsembleSpec) -> EnsembleResult:
         outcomes, _, states, _ = filter_batch(p, ops, idx, spec.master_seed)
         nb = states.shape[0]
 
-        pur_f = np.einsum("ntij,ntji->nt", states, states).real
-        pf_sum += pur_f.sum(axis=0)
-        pf_sq += (pur_f ** 2).sum(axis=0)
-        bf_sum += _bloch_series(states).sum(axis=0)
-
-        # backward pass fused with per-time smoothed statistics
+        # backward pass fused with per-time filtered and smoothed statistics
+        pur_f = np.empty((nb, n + 1))
         pur_s = np.empty((nb, n + 1))
-        effect = np.broadcast_to(np.eye(p.dim, dtype=complex), states[:, 0].shape).copy()
+        effect = np.broadcast_to(to_vector(np.eye(p.dim), ops.basis),
+                                 states[:, 0].shape).copy()
         for s in range(n, -1, -1):
-            roots = qmath.sqrt_psd_stack(states[:, s])
-            sm = np.einsum("nij,njk,nkl->nil", roots, effect, roots)
+            rho = to_matrix(states[:, s], ops.basis)
+            roots = qmath.sqrt_psd_stack(rho)
+            sm = np.einsum("nij,njk,nkl->nil", roots, to_matrix(effect, ops.basis), roots)
             tr = np.einsum("nii->n", sm).real
             sm /= tr[:, None, None]
+            pur_f[:, s] = np.einsum("nij,nji->n", rho, rho).real
             pur_s[:, s] = np.einsum("nij,nji->n", sm, sm).real
-            bs_sum[s] += _bloch_series(sm).sum(axis=0)
+            bf_sum[s] += qmath.bloch_vector(rho).sum(axis=0)
+            bs_sum[s] += qmath.bloch_vector(sm).sum(axis=0)
+            pf_sum[s] += pur_f[:, s].sum()
+            pf_sq[s] += (pur_f[:, s] ** 2).sum()
             ps_sum[s] += pur_s[:, s].sum()
             ps_sq[s] += (pur_s[:, s] ** 2).sum()
             me = qmath.min_eigenvalue_stack(sm).min()
@@ -155,9 +156,7 @@ def run_ensemble(spec: EnsembleSpec) -> EnsembleResult:
                 max_tr_defect,
                 float(np.max(np.abs(np.einsum("nii->n", sm).real - 1.0))))
             if s > 0:
-                effect = smoothing._adjoint_step_batch(ops, outcomes[:, s - 1], effect)
-                if (n - s + 1) % smoothing.RESCALE_EVERY == 0:
-                    effect /= (np.einsum("nii->n", effect).real / p.dim)[:, None, None]
+                effect, _ = smoothing._adjoint_step_batch(ops, outcomes[:, s - 1], effect)
 
         if np.any(win):
             gains = (pur_s[:, win] - pur_f[:, win]).mean(axis=1)
@@ -189,7 +188,7 @@ def run_ensemble(spec: EnsembleSpec) -> EnsembleResult:
         avg_purity_smoothed=ps_mean, se_purity_smoothed=ps_se,
         mean_bloch_filtered=bf_sum / n_traj,
         mean_bloch_smoothed=bs_sum / n_traj,
-        uncond_bloch=_bloch_series(uncond), uncond_purity=uncond_purity,
+        uncond_bloch=qmath.bloch_vector(uncond), uncond_purity=uncond_purity,
         window=(lo, hi),
         purity_gain_mean=float(g_mean), purity_gain_se=float(g_se),
         relative_improvement=rel,
@@ -216,18 +215,16 @@ def criterion2_enumerate(p: ModelParams, past_steps, future_steps,
     fr = filter_trajectory(past, traj_index, ops=build_step_operators(past))
     rho_f = fr.states[past_steps] if past_steps > 0 else np.asarray(p.rho0)
 
-    maps = {y: ops.conditional_map(y) for y in (0, 1)}
-    eye = np.eye(p.dim, dtype=complex)
+    futures = np.array(list(np.ndindex(*([2] * future_steps))), dtype=float)
+    r = np.broadcast_to(to_vector(rho_f, ops.basis), (len(futures), p.dim ** 2))
+    e = effect_scale * np.broadcast_to(to_vector(np.eye(p.dim), ops.basis), r.shape)
+    for j in range(future_steps):
+        r = ops.combine(stack_products(ops.forward, r), futures[:, j])
+        e = ops.combine(stack_products(ops.backward, e), futures[:, future_steps - 1 - j])
+    weights = vector_trace(r)  # p(future | past); the futures sum to 1
+    effects = to_matrix(e, ops.basis)
     acc = np.zeros((p.dim, p.dim), dtype=complex)
-    for bits in np.ndindex(*([2] * future_steps)):
-        rho = rho_f
-        for y in bits:
-            rho = channels.apply(maps[y], rho)
-        w = trace_of(rho).real  # p(future | past); the futures sum to 1
-        if w <= 0.0:
-            continue
-        effect = effect_scale * eye
-        for y in reversed(bits):
-            effect = channels.adjoint_apply(maps[y], effect)
-        acc += w * smoothing.petz_fuchs(rho_f, effect)
+    for w, effect in zip(weights, effects):
+        if w > 0.0:
+            acc += w * smoothing.petz_fuchs(rho_f, effect)
     return float(np.max(np.abs(acc - rho_f)))

@@ -138,14 +138,13 @@ def min_eigenvalue(m):
     return float(np.linalg.eigvalsh(hermitize(np.asarray(m, dtype=complex)))[0])
 
 
-def bloch_vector(rho):
-    """(<sx>, <sy>, <sz>) of a normalized qubit state."""
-    t = trace_of(rho).real
-    return np.array([
-        trace_of(mm(SIGMA_X, rho)).real / t,
-        trace_of(mm(SIGMA_Y, rho)).real / t,
-        trace_of(mm(SIGMA_Z, rho)).real / t,
-    ])
+def bloch_vector(states):
+    """(<sx>, <sy>, <sz>) of normalized qubit states, shape (..., 3)."""
+    out = np.empty(states.shape[:-2] + (3,))
+    out[..., 0] = 2.0 * states[..., 1, 0].real
+    out[..., 1] = 2.0 * states[..., 1, 0].imag
+    out[..., 2] = (states[..., 0, 0] - states[..., 1, 1]).real
+    return out
 
 
 def bloch_state(x, y, z):

@@ -17,7 +17,6 @@ mixes "true" states conditioned on a second, unobserved record.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -28,11 +27,15 @@ from .dynamics import (
     StepOperators,
     build_step_operators,
     filter_trajectory,
+    model_operators,
+    sample_outcomes,
+    stack_products,
+    to_matrix,
+    to_vector,
     trajectory_stream,
+    vector_trace,
 )
-from .qmath import ZeroTraceError, dag, mm, trace_of
-
-RESCALE_EVERY = 1000  # steps between effect trace rescalings
+from .qmath import ZeroTraceError, mm, trace_of
 
 
 class DegenerateWeightsError(RuntimeError):
@@ -54,58 +57,40 @@ class EffectSeries:
         return np.exp(self.log_scale[i]) * self.effects[i]
 
 
-def _adjoint_step(ops: StepOperators, outcome, effect):
-    """One backward step E(t) = F_y^dag[E(t+dt)]."""
-    m = ops.measurement_op(outcome)
-    inner = mm(dag(m), mm(mm(dag(ops.u), mm(effect, ops.u)), m))
-    out = np.zeros_like(inner)
-    for kk in ops.k:
-        out += mm(dag(kk), mm(inner, kk))
-    return out
-
-
 def _adjoint_step_batch(ops: StepOperators, outcomes_col, effects):
-    """Backward step for a batch of effects with per-trajectory outcomes."""
-    if ops.unraveling == "jump":
-        m = np.where(outcomes_col[:, None, None] >= 0.5,
-                     ops.m1[None, :, :], ops.m0[None, :, :])
-    else:
-        m = ops._hom_base[None, :, :] \
-            + outcomes_col[:, None, None] * ops._hom_lin[None, :, :]
-    inner = np.einsum("ji,njk,kl->nil", np.conj(ops.u), effects, ops.u)
-    inner = np.einsum("nji,njk,nkl->nil", np.conj(m), inner, m)
-    out = np.zeros_like(inner)
-    for kk in ops.k:
-        out += np.einsum("ji,njk,kl->nil", np.conj(kk), inner, kk)
-    return out
+    """One backward step E <- F_y^dag[E] per row, as e <- S_y^T e.
+
+    `effects` are coordinate vectors (N, d^2). Each result is rescaled to
+    the identity's trace, Tr E = d, so records of any length stay inside
+    floating-point range; returns (effects, the factors divided out).
+    """
+    e = ops.combine(stack_products(ops.backward, effects), outcomes_col)
+    scale = vector_trace(e) / ops.dim
+    return e / scale[:, None], scale
+
+
+# perfbench/spans.py traces the backward step under this name as well
+_adjoint_step = _adjoint_step_batch
 
 
 def retrofilter(record: MeasurementRecord, p: ModelParams,
-                ops: StepOperators | None = None,
-                rescale_every=RESCALE_EVERY) -> EffectSeries:
+                ops: StepOperators | None = None) -> EffectSeries:
     """Retrofiltered effects along a record, E(T) = identity.
 
-    The effect trace is folded into a separately accumulated log scale
-    every `rescale_every` steps so that records of any length stay inside
-    floating-point range.
+    Every step's trace rescaling is folded into a separately accumulated
+    log scale.
     """
     ops = build_step_operators(p) if ops is None else ops
     n = len(record)
-    d = ops.dim
-    effects = np.empty((n + 1, d, d), dtype=complex)
+    outcomes = np.asarray(record.outcomes, dtype=float)
+    effects = np.empty((n + 1, ops.dim ** 2))
     log_scale = np.zeros(n + 1)
-    effects[n] = np.eye(d)
-    e = effects[n]
-    logs = 0.0
+    effects[n] = to_vector(np.eye(ops.dim), ops.basis)
     for s in range(n - 1, -1, -1):
-        e = _adjoint_step(ops, record.outcomes[s], e)
-        if (n - s) % rescale_every == 0:
-            tr = trace_of(e).real / d
-            e = e / tr
-            logs += np.log(tr)
-        effects[s] = e
-        log_scale[s] = logs
-    return EffectSeries(effects=effects, log_scale=log_scale)
+        e, scale = _adjoint_step_batch(ops, outcomes[s:s + 1], effects[s + 1:s + 2])
+        effects[s] = e[0]
+        log_scale[s] = log_scale[s + 1] + np.log(scale[0])
+    return EffectSeries(effects=to_matrix(effects, ops.basis), log_scale=log_scale)
 
 
 # -- smoothed-state estimators ----------------------------------------------
@@ -273,53 +258,32 @@ def smooth_trajectory(p: ModelParams, traj_index=0,
 
 # -- two-observer (true state) estimators ------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class _BobOps:
-    """Measurement operators for the second observer on the a-channel."""
+def _true_state_operators(p: ModelParams, bob_unraveling, bob_phi=None):
+    """Step operators of the true-state step, split between the observers.
 
-    unraveling: str
-    b0: np.ndarray
-    b1: np.ndarray
-    quad: Optional[np.ndarray]
-    hom_base: Optional[np.ndarray]
-    hom_lin: Optional[np.ndarray]
-    dt: float
-
-
-def _bob_operators(p: ModelParams, bob_unraveling, bob_phi=None) -> _BobOps:
-    if bob_unraveling not in ("jump", "homodyne_x", "homodyne_y"):
-        raise ValueError(f"unknown unraveling {bob_unraveling!r}")
-    a = np.sqrt(p.gamma * p.nbar) * qmath.SIGMA_PLUS
-    ata = mm(dag(a), a)
-    eye = np.eye(2, dtype=complex)
-    b0 = qmath.hermitian_sqrt(eye - ata * p.dt)
-    b1 = np.sqrt(p.dt) * a
-    if bob_unraveling == "jump":
-        return _BobOps("jump", b0, b1, None, None, None, p.dt)
-    phi = bob_phi
-    if phi is None:
-        phi = 0.0 if bob_unraveling == "homodyne_x" else np.pi / 2
-    ph = np.exp(1j * phi)
-    quad = a * ph + dag(a) * np.conj(ph)
-    y2 = ata * p.dt
-    hom_base = eye - 0.5 * y2 + 0.125 * mm(y2, y2)
-    hom_lin = a * ph * p.dt
-    return _BobOps(bob_unraveling, b0, b1, quad, hom_base, hom_lin, p.dt)
-
-
-def _alice_ops_for_true_state(p: ModelParams):
-    """Step operators plus the residual dissipation channel for eta < 1.
-
-    The second observer takes over the absorption channel; any undetected
-    part of the emission channel stays unmeasured and is returned as its
-    own Kraus pair (empty tuple at unit efficiency).
+    The second observer measures the absorption channel a (no drive); any
+    undetected part of the emission channel (eta < 1) stays unmeasured in
+    its dissipation. The first observer's measurement and the drive follow,
+    with no dissipation of their own.
     """
-    ops = build_step_operators(p)
-    if p.eta >= 1.0:
-        return ops, ()
-    k2 = ops.k[2]  # already sqrt(dt)-scaled undetected emission
-    r0 = qmath.hermitian_sqrt(np.eye(ops.dim, dtype=complex) - mm(dag(k2), k2))
-    return ops, (r0, k2)
+    h, c, unmeasured = model_operators(p)
+    alice = StepOperators.from_operators(h, c, (), p.dt, p.unraveling, p.phi)
+    bob = StepOperators.from_operators(np.zeros_like(h), unmeasured[0], unmeasured[1:],
+                                       p.dt, bob_unraveling, bob_phi)
+    return alice, bob
+
+
+def _true_state_stack(alice: StepOperators, bob: StepOperators, outcome):
+    """Forward stack of rho -> F^alice_y[F^bob_z[rho]] for one observed y.
+
+    The second observer's blocks are each followed by S^alice_y; a mean row
+    stays as it is, since it reads the state before either measurement.
+    """
+    n = bob.dim ** 2
+    k = len(bob.blocks) * n
+    lead = alice.transfer(outcome)
+    blocks = np.einsum("ij,bjk->bik", lead, bob.forward[:k].reshape(-1, n, n))
+    return np.vstack([blocks.reshape(k, n), bob.forward[k:]])
 
 
 @dataclass(eq=False)
@@ -338,33 +302,34 @@ class GwResult:
     n_bob: int
 
 
-def _combine_true_states(true_states, log_v, effects):
+def _combine_true_states(true_states, log_v, effects, basis):
     """Self-normalized mixtures of true states against the effects.
 
-    true_states: (N, T, d, d) normalized; log_v: (N, T) log importance
-    weights; effects: (T, d, d). Returns (gw, gw_pf, ess).
+    true_states: (N, T, d^2) normalized, as coordinates in `basis`; log_v:
+    (N, T) log importance weights; effects: (T, d, d). Returns (gw, gw_pf,
+    ess).
     """
     n_t = true_states.shape[1]
-    d = true_states.shape[-1]
-    gw = np.empty((n_t, d, d), dtype=complex)
+    d = effects.shape[-1]
+    effect_vectors = to_vector(effects, basis)
+    gw = np.empty((n_t, d * d))
     gw_pf = np.empty((n_t, d, d), dtype=complex)
     ess = np.empty(n_t)
     for t in range(n_t):
-        rho = true_states[:, t]
+        r = true_states[:, t]
         lv = log_v[:, t]
         v = np.exp(lv - np.max(lv))
-        ev = np.einsum("nij,nji->n", np.broadcast_to(effects[t], rho.shape), rho).real
-        w = v * ev
+        w = v * np.einsum("na,a->n", r, effect_vectors[t])  # Tr[E rho]
         wsum = w.sum()
         if wsum <= 0 or w.max() <= 0:
             raise DegenerateWeightsError(f"all weights vanished at index {t}")
         ess[t] = wsum / w.max()
-        gw[t] = np.einsum("n,nij->ij", w, rho) / wsum
-        roots = qmath.sqrt_psd_stack(rho)
+        gw[t] = np.einsum("n,na->a", w, r) / wsum
+        roots = qmath.sqrt_psd_stack(to_matrix(r, basis))
         sand = np.einsum("nij,jk,nkl->nil", roots, effects[t], roots)
         pf = np.einsum("n,nij->ij", v, sand)
         gw_pf[t] = pf / trace_of(pf).real
-    return gw, gw_pf, ess
+    return to_matrix(gw, basis), gw_pf, ess
 
 
 def gw_smooth(record: MeasurementRecord, p: ModelParams, bob_unraveling,
@@ -381,67 +346,40 @@ def gw_smooth(record: MeasurementRecord, p: ModelParams, bob_unraveling,
     if len(record) != p.n_steps:
         raise ValueError(
             f"record has {len(record)} steps but the grid has {p.n_steps}")
-    ops, residual = _alice_ops_for_true_state(p)
-    bob = _bob_operators(p, bob_unraveling, bob_phi)
+    alice, bob = _true_state_operators(p, bob_unraveling, bob_phi)
+    ops = build_step_operators(p)
     eff = retrofilter(record, p, ops=ops)
     n = len(record)
-    d = p.dim
 
-    rho = np.broadcast_to(p.rho0, (n_bob, d, d)).copy()
+    noise = np.empty((n_bob, n))
+    for i in range(n_bob):
+        rng = trajectory_stream(seed, i, domain=1)
+        noise[i] = rng.random(n) if bob.unraveling == "jump" \
+            else rng.normal(0.0, np.sqrt(p.dt), size=n)
+
+    r = np.broadcast_to(to_vector(p.rho0, ops.basis), (n_bob, ops.dim ** 2)).copy()
     log_v = np.zeros((n_bob, n + 1))
-    true_states = np.empty((n_bob, n + 1, d, d), dtype=complex)
-    true_states[:, 0] = rho
-
-    if bob.unraveling == "jump":
-        noise = np.empty((n_bob, n))
-        for i in range(n_bob):
-            noise[i] = trajectory_stream(seed, i, domain=1).random(n)
-    else:
-        noise = np.empty((n_bob, n))
-        for i in range(n_bob):
-            noise[i] = trajectory_stream(seed, i, domain=1).normal(
-                0.0, np.sqrt(p.dt), size=n)
-
-    from .dynamics import _sandwich_batch, _sandwich_const
-
+    true_states = np.empty((n_bob, n + 1, ops.dim ** 2))
+    true_states[:, 0] = r
     for s in range(n):
-        if residual:
-            acc = np.zeros_like(rho)
-            for r in residual:
-                acc += _sandwich_const(r, rho)
-            rho = acc
-        m_alice = ops.measurement_op(record.outcomes[s])
+        u = stack_products(_true_state_stack(alice, bob, record.outcomes[s]), r)
+        z, summary = sample_outcomes(bob, u, r, noise[:, s])
+        r = bob.combine(u, z)
+        tr = vector_trace(r)
         if bob.unraveling == "jump":
-            r0 = _sandwich_const(mm(m_alice, bob.b0), rho)
-            r1 = _sandwich_const(mm(m_alice, bob.b1), rho)
-            t0 = np.einsum("nii->n", r0).real
-            t1 = np.einsum("nii->n", r1).real
-            tot = t0 + t1
-            pz = t1 / tot
-            click = noise[:, s] < pz
-            rho_m = np.where(click[:, None, None], r1, r0)
             # Sampling z from its actual conditional leaves the summed
             # observed-outcome likelihood t0 + t1 as the weight increment.
-            log_v[:, s + 1] = log_v[:, s] + np.log(tot)
+            log_v[:, s + 1] = log_v[:, s] + np.log(summary)
         else:
-            mean = np.einsum("ij,nji->n", bob.quad, rho).real \
-                / np.einsum("nii->n", rho).real
-            z = mean + noise[:, s] / p.dt      # unobserved current
-            zeta = z * p.dt                    # its increment
-            bm = bob.hom_base[None, :, :] + z[:, None, None] * bob.hom_lin[None, :, :]
-            mb = np.einsum("ij,njk->nik", m_alice, bm)
-            rho_m = _sandwich_batch(mb, rho)
-            tr_m = np.einsum("nii->n", rho_m).real
             # density ratio between the zero-mean ostensible Gaussian and
-            # the shifted sampler of the increment zeta
-            log_q_ratio = -zeta * mean + 0.5 * mean * mean * p.dt
-            log_v[:, s + 1] = log_v[:, s] + np.log(tr_m) + log_q_ratio
-        rho_u = _sandwich_const(ops.u, rho_m)
-        tr_u = np.einsum("nii->n", rho_u).real
-        rho = rho_u / tr_u[:, None, None]
-        true_states[:, s + 1] = rho
+            # the shifted sampler of the increment z dt
+            mean = summary
+            log_q_ratio = -z * p.dt * mean + 0.5 * mean * mean * p.dt
+            log_v[:, s + 1] = log_v[:, s] + np.log(tr) + log_q_ratio
+        r = r / tr[:, None]
+        true_states[:, s + 1] = r
 
-    gw, gw_pf, ess = _combine_true_states(true_states, log_v, eff.effects)
+    gw, gw_pf, ess = _combine_true_states(true_states, log_v, eff.effects, ops.basis)
     if np.min(ess) < 2.0:
         raise DegenerateWeightsError(
             f"effective sample size {np.min(ess):.2f} < 2 "
@@ -462,43 +400,29 @@ def gw_enumerate(record: MeasurementRecord, p: ModelParams,
     if len(record) != p.n_steps:
         raise ValueError(
             f"record has {len(record)} steps but the grid has {p.n_steps}")
-    ops, residual = _alice_ops_for_true_state(p)
-    if residual:
+    if p.eta < 1.0:
         raise ValueError("enumeration requires eta = 1")
-    bob = _bob_operators(p, "jump")
+    alice, bob = _true_state_operators(p, "jump")
+    ops = build_step_operators(p)
     eff = retrofilter(record, p, ops=ops)
     n = len(record)
-    d = p.dim
 
-    # branch states carry their joint likelihood in the trace
-    branches = [np.asarray(p.rho0, dtype=complex)]
-    per_time = [np.array([p.rho0])]
+    # branch states carry their joint likelihood in the trace; the two
+    # unobserved outcomes of a branch stay adjacent
+    per_time = [to_vector(p.rho0, ops.basis)[None, :]]
     for s in range(n):
-        m_alice = ops.measurement_op(record.outcomes[s])
-        nxt = []
-        for rho in branches:
-            for b in (bob.b0, bob.b1):
-                op = mm(ops.u, mm(m_alice, b))
-                nxt.append(mm(op, mm(rho, dag(op))))
-        branches = nxt
-        per_time.append(np.array(branches))
+        u = stack_products(_true_state_stack(alice, bob, record.outcomes[s]), per_time[-1])
+        per_time.append(u.reshape(-1, ops.dim ** 2))
+    filtered = to_matrix(np.array([b.sum(axis=0) for b in per_time]), ops.basis)
 
-    n_t = n + 1
-    gw = np.empty((n_t, d, d), dtype=complex)
-    gw_pf = np.empty((n_t, d, d), dtype=complex)
-    filtered = np.empty((n_t, d, d), dtype=complex)
-    for t in range(n_t):
-        rhos = per_time[t]
-        traces = np.einsum("nii->n", rhos).real
-        filtered[t] = rhos.sum(axis=0)
-        norm = rhos / traces[:, None, None]
-        ev = np.einsum("nij,nji->n", np.broadcast_to(eff.effects[t], norm.shape), norm).real
-        w = traces * ev
-        gw[t] = np.einsum("n,nij->ij", w, norm) / w.sum()
-        roots = qmath.sqrt_psd_stack(norm)
-        sand = np.einsum("nij,jk,nkl->nil", roots, eff.effects[t], roots)
-        pf = np.einsum("n,nij->ij", traces, sand)
-        gw_pf[t] = pf / trace_of(pf).real
-    ess = np.full(n_t, np.nan)
+    # Each leaf carries its ancestor at every time; repeating an ancestor
+    # once per leaf scales all weights at that time alike, which the
+    # self-normalized mixtures cancel.
+    leaves = np.arange(2 ** n)
+    branches = np.stack([per_time[t][leaves >> (n - t)] for t in range(n + 1)], axis=1)
+    traces = vector_trace(branches)
+    gw, gw_pf, _ = _combine_true_states(
+        branches / traces[..., None], np.log(traces), eff.effects, ops.basis)
+    ess = np.full(n + 1, np.nan)
     return GwResult(times=p.times, gw=gw, gw_pf=gw_pf, ess=ess,
                     n_bob=2 ** n), filtered

@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 
 from qsmooth import channels, classical, qmath, smoothing
-from qsmooth.dynamics import ModelParams, build_step_operators, filter_batch, filter_trajectory
+from qsmooth.dynamics import (
+    ModelParams,
+    build_step_operators,
+    filter_batch,
+    filter_trajectory,
+    to_matrix,
+    to_vector,
+)
 from qsmooth.ensemble import EnsembleSpec, criterion2_enumerate, run_ensemble
 from qsmooth.qmath import dag, mm, trace_of
 
@@ -161,19 +168,14 @@ def test_criterion_8_swv_unphysical_and_identity():
     assert len(with_click) == 200
     outcomes = outcomes[with_click]
     states = states[with_click]
-    n = p.n_steps
-    effect = np.broadcast_to(np.eye(2, dtype=complex), states[:, 0].shape).copy()
+    effect = np.broadcast_to(to_vector(np.eye(2), ops.basis), states[:, 0].shape).copy()
     max_swv_purity = 0.0
-    for s in range(n, -1, -1):
-        re = np.einsum("nij,njk->nik", states[:, s], effect)
-        tr = np.einsum("nii->n", re).real
-        swv = (re + np.conj(np.swapaxes(re, -1, -2))) / (2.0 * tr[:, None, None])
-        pur = np.einsum("nij,nji->n", swv, swv).real
+    for s in range(p.n_steps, -1, -1):
+        pur, _ = smoothing.swv_purity_series(to_matrix(states[:, s], ops.basis),
+                                             to_matrix(effect, ops.basis))
         max_swv_purity = max(max_swv_purity, float(pur.max()))
         if s > 0:
-            effect = smoothing._adjoint_step_batch(ops, outcomes[:, s - 1], effect)
-            if (n - s + 1) % smoothing.RESCALE_EVERY == 0:
-                effect /= (np.einsum("nii->n", effect).real / 2.0)[:, None, None]
+            effect, _ = smoothing._adjoint_step_batch(ops, outcomes[:, s - 1], effect)
     unphysical = max_swv_purity > 1.0 + 1e-6
 
     # part (b): the double-commutator relation to the closed form

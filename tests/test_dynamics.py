@@ -3,15 +3,19 @@ import pytest
 
 from qsmooth import channels, qmath
 from qsmooth.dynamics import (
+    UNRAVELINGS,
     InvalidParamsError,
     ModelParams,
+    StepOperators,
     build_step_operators,
     filter_batch,
     filter_trajectory,
-    sample_step,
+    hermitian_basis,
+    stack_products,
+    to_matrix,
+    to_vector,
     trajectory_stream,
     unconditional_series,
-    unconditional_step,
 )
 from qsmooth.qmath import EXCITED, GROUND, dag, mm, trace_of
 
@@ -20,6 +24,11 @@ def params(**kw):
     base = dict(omega=5.0, nbar=0.5, dt=1e-3, t_final=7.5, seed=0)
     base.update(kw)
     return ModelParams(**base)
+
+
+def one_step(**kw):
+    """Params of a one-step grid."""
+    return params(t_final=kw.get("dt", 1e-3), **kw)
 
 
 def _liouville(p, rho):
@@ -95,14 +104,6 @@ class TestStepOperators:
         total = mm(dag(m0), m0) + mm(dag(m1), m1)
         assert np.max(np.abs(total - np.eye(2))) < 1e-12
 
-    def test_jump_ostensible_weighted_completeness(self):
-        ops = build_step_operators(params(dt=1e-2))
-        for p_ost in (1e-4, 0.01, 0.3):
-            m0, m1 = ops.jump_measurement_ops(p_ost)
-            total = p_ost * mm(dag(m1), m1) + (1.0 - p_ost) * mm(dag(m0), m0)
-            resid = np.max(np.abs(total - np.eye(2)))
-            assert resid <= 10.0 * ops.dt ** 2 * np.linalg.norm(ops.ctc, 2) ** 2
-
     def test_homodyne_ostensible_completeness_scales_quadratically(self):
         # E_y[M^dag M] - 1 under the ostensible Gaussian, evaluated in
         # closed form: the residual must shrink ~dt^2.
@@ -130,14 +131,11 @@ class TestStepOperators:
 
 class TestUnconditional:
     def test_dark_state_fixed_point(self):
-        p = params(omega=0.0, nbar=0.0)
-        out = unconditional_step(p, GROUND)
+        out = unconditional_series(one_step(omega=0.0, nbar=0.0))[1]
         assert np.max(np.abs(out - GROUND)) < 1e-14
 
     def test_trace_preserved(self):
-        p = params()
-        rho = qmath.bloch_state(0.3, -0.2, 0.1)
-        out = unconditional_step(p, rho)
+        out = unconditional_series(one_step(rho0=qmath.bloch_state(0.3, -0.2, 0.1)))[1]
         assert trace_of(out).real == pytest.approx(1.0, abs=1e-12)
 
     def test_thermal_steady_state(self):
@@ -157,10 +155,10 @@ class TestUnconditional:
     def test_one_step_matches_euler_of_master_equation(self):
         # Independent oracle: the explicit Liouvillian of the driven
         # thermal qubit; one discretized step agrees to O(dt^2).
-        p = params()
         rho = qmath.bloch_state(0.3, -0.1, 0.2)
+        p = one_step(rho0=rho)
         euler = rho + p.dt * _liouville(p, rho)
-        step = unconditional_step(p, rho)
+        step = unconditional_series(p)[1]
         assert np.max(np.abs(step - euler)) < 10.0 * p.dt ** 2
 
     def test_full_horizon_matches_rk4_oracle(self):
@@ -180,49 +178,93 @@ class TestUnconditional:
 
 
 class TestSampleStep:
+    """The outcome distribution of one filter step, over many trajectories."""
+
     def test_dark_state_never_clicks(self):
-        p = params(omega=0.0, nbar=0.0)
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            out, rng = sample_step(p, GROUND, rng)
-            assert out.value == 0.0
+        p = one_step(omega=0.0, nbar=0.0)
+        outcomes, _, _, _ = filter_batch(p, build_step_operators(p), range(50))
+        assert np.all(outcomes == 0.0)
 
     def test_excited_state_click_probability(self):
-        p = params()
+        p = one_step(rho0=EXCITED)
         ops = build_step_operators(p)
         rho_k = channels.apply(ops.dissipation_map(), EXCITED)
         p1 = p.dt * trace_of(mm(ops.ctc, rho_k)).real / trace_of(rho_k).real
         # evaluates exactly to gamma (nbar + 1) dt: the absorption channel
         # cannot act on the excited state
         assert p1 == pytest.approx(p.gamma * (p.nbar + 1.0) * p.dt, rel=1e-12)
-        rng = np.random.default_rng(1)
-        clicks = 0
         n = 20000
-        for _ in range(n):
-            out, rng = sample_step(p, EXCITED, rng, ops=ops)
-            clicks += out.value
+        outcomes, _, _, _ = filter_batch(p, ops, range(n))
         se = np.sqrt(p1 * (1 - p1) / n)
-        assert abs(clicks / n - p1) < 3 * se
+        assert abs(outcomes.mean() - p1) < 3 * se
 
     def test_homodyne_mean_current(self):
-        p = params(unraveling="homodyne_x")
-        ops = build_step_operators(p)
-        rho = qmath.bloch_state(0.6, 0.0, 0.2)
-        rng = np.random.default_rng(2)
+        p = one_step(unraveling="homodyne_x", rho0=qmath.bloch_state(0.6, 0.0, 0.2))
         n = 100_000
-        draws = np.empty(n)
-        for i in range(n):
-            out, rng = sample_step(p, rho, rng, ops=ops)
-            draws[i] = out.value
+        outcomes, _, _, _ = filter_batch(p, build_step_operators(p), range(n))
         target = np.sqrt(p.gamma * (p.nbar + 1.0)) * 0.6
         se = (1.0 / np.sqrt(p.dt)) / np.sqrt(n)
-        assert abs(draws.mean() - target) < 3 * se
+        assert abs(outcomes.mean() - target) < 3 * se
 
     def test_homodyne_reports_noise(self):
-        p = params(unraveling="homodyne_y")
-        out, _ = sample_step(p, GROUND, np.random.default_rng(3))
-        assert out.dw is not None
-        assert np.isfinite(out.value)
+        p = one_step(unraveling="homodyne_y")
+        outcomes, noise, _, _ = filter_batch(p, build_step_operators(p), [0])
+        assert noise is not None and noise.shape == outcomes.shape
+        assert np.all(np.isfinite(outcomes))
+
+
+class TestTransferCore:
+    """One forward and one backward step of the core against the Kraus maps."""
+
+    @pytest.mark.parametrize("unraveling", UNRAVELINGS)
+    @pytest.mark.parametrize("eta", [1.0, 0.6])
+    @pytest.mark.parametrize("nbar", [0.0, 0.5])
+    def test_steps_match_conditional_map(self, unraveling, eta, nbar):
+        p = params(unraveling=unraveling, eta=eta, nbar=nbar)
+        ops = build_step_operators(p)
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            rho = mm(g, dag(g))
+            rho /= trace_of(rho).real
+            e = mm(dag(g), g)
+            e /= np.abs(e).max()
+            if p.is_homodyne:  # a current drawn at three times its typical size
+                y = 3.0 * rng.normal(0.0, 1.0 / np.sqrt(p.dt))
+            else:
+                y = float(rng.integers(0, 2))
+            fmap = ops.conditional_map(y)
+            fwd = ops.combine(stack_products(ops.forward, to_vector(rho, ops.basis)[None]), [y])
+            bwd = ops.combine(stack_products(ops.backward, to_vector(e, ops.basis)[None]), [y])
+            assert np.max(np.abs(to_matrix(fwd[0], ops.basis)
+                                 - channels.apply(fmap, rho))) < 1e-13
+            assert np.max(np.abs(to_matrix(bwd[0], ops.basis)
+                                 - channels.adjoint_apply(fmap, e))) < 1e-13
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_basis_is_orthonormal_and_hermitian(self, d):
+        basis = hermitian_basis(d)
+        gram = np.einsum("aij,bji->ab", basis, basis)
+        assert np.max(np.abs(gram - np.eye(d * d))) < 1e-15
+        assert np.array_equal(basis, dag(basis))
+
+    @pytest.mark.parametrize("unraveling", UNRAVELINGS)
+    def test_three_level_steps(self, unraveling):
+        rng = np.random.default_rng(9)
+        g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        h = g + dag(g)
+        c, a = (0.5 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+                for _ in range(2))
+        ops = StepOperators.from_operators(h, c, [a], 1e-3, unraveling)
+        rho = mm(g, dag(g))
+        rho /= trace_of(rho).real
+        y = 20.0 if unraveling != "jump" else 1.0
+        fwd = ops.combine(stack_products(ops.forward, to_vector(rho, ops.basis)[None]), [y])
+        bwd = ops.combine(stack_products(ops.backward, to_vector(rho, ops.basis)[None]), [y])
+        fmap = ops.conditional_map(y)
+        assert np.max(np.abs(to_matrix(fwd[0], ops.basis) - channels.apply(fmap, rho))) < 1e-13
+        assert np.max(np.abs(to_matrix(bwd[0], ops.basis)
+                             - channels.adjoint_apply(fmap, rho))) < 1e-13
 
 
 class TestFilterTrajectory:
@@ -267,7 +309,7 @@ class TestFilterTrajectory:
             outcomes, noise, states, logw = filter_batch(p, ops, range(8))
             single = filter_trajectory(p, traj_index=5, ops=ops)
             assert np.array_equal(outcomes[5], single.record.outcomes)
-            assert np.array_equal(states[5], single.states)
+            assert np.array_equal(to_matrix(states[5], ops.basis), single.states)
             if noise is not None:
                 assert np.array_equal(noise[5], single.record.ostensible_noise)
 
@@ -300,7 +342,7 @@ class TestEnsembleMeanConsistency:
             p = params(unraveling=unraveling, t_final=1.5, seed=77)
             ops = build_step_operators(p)
             _, _, states, _ = filter_batch(p, ops, range(n_traj))
-            mean = states.mean(axis=0)
+            mean = to_matrix(states.mean(axis=0), ops.basis)
             uncond = unconditional_series(p)
             tol = 4.0 / np.sqrt(n_traj) + 5.0 * p.dt
             assert np.max(np.abs(mean - uncond)) < tol

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from qsmooth import qmath, smoothing
-from qsmooth.dynamics import ModelParams, filter_trajectory
+from qsmooth import channels, qmath, smoothing
+from qsmooth.dynamics import (
+    ModelParams,
+    build_step_operators,
+    filter_trajectory,
+    stack_products,
+    to_matrix,
+    to_vector,
+)
+from qsmooth.qmath import dag, mm
 from qsmooth.smoothing import DegenerateWeightsError, gw_enumerate, gw_smooth
 
 PURE_GROUND = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -13,6 +21,41 @@ def params(**kw):
                 t_final=0.1, seed=5, rho0=PURE_GROUND)
     base.update(kw)
     return ModelParams(**base)
+
+
+class TestTrueStateStep:
+    @pytest.mark.parametrize("bob_unraveling", ["jump", "homodyne_x"])
+    @pytest.mark.parametrize("eta", [1.0, 0.6])
+    def test_step_matches_kraus_form(self, bob_unraveling, eta):
+        # rho -> U M_y B_z R(rho), with R the undetected-emission channel
+        p = params(eta=eta, nbar=0.5)
+        ops = build_step_operators(p)
+        a = np.sqrt(p.gamma * p.nbar) * qmath.SIGMA_PLUS
+        ata = mm(dag(a), a) * p.dt
+        if eta < 1.0:
+            k2 = ops.k[2]
+            residual = [qmath.hermitian_sqrt(np.eye(2) - mm(dag(k2), k2)), k2]
+        else:
+            residual = [np.eye(2)]
+        alice, bob = smoothing._true_state_operators(p, bob_unraveling)
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            rho = mm(g, dag(g))
+            rho /= np.trace(rho).real
+            y = float(rng.integers(0, 2))
+            if bob_unraveling == "jump":
+                z = float(rng.integers(0, 2))
+                b = np.sqrt(p.dt) * a if z else qmath.hermitian_sqrt(np.eye(2) - ata)
+            else:
+                z = rng.normal(0.0, 1.0 / np.sqrt(p.dt))
+                b = np.eye(2) - 0.5 * ata + 0.125 * mm(ata, ata) + z * p.dt * a
+            lead = mm(ops.u, mm(ops.measurement_op(y), b))
+            ref = channels.apply(channels.CPMap(tuple(mm(lead, r) for r in residual)), rho)
+            u = stack_products(smoothing._true_state_stack(alice, bob, y),
+                               to_vector(rho, ops.basis)[None])
+            out = to_matrix(bob.combine(u, [z])[0], ops.basis)
+            assert np.max(np.abs(out - ref)) < 1e-13
 
 
 class TestEnumerated:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qsmooth import classical, qmath, smoothing
+from qsmooth import channels, classical, qmath, smoothing
 from qsmooth.dynamics import ModelParams, build_step_operators, filter_trajectory
 from qsmooth.qmath import ZeroTraceError, dag, mm, trace_of
 from qsmooth.smoothing import (
@@ -57,13 +57,33 @@ class TestRetrofilter:
         assert qmath.min_eigenvalue_stack(eff.effects).min() >= -1e-10
 
     def test_rescaling_bookkeeping(self):
-        p = params(t_final=3.0, seed=1)
-        fr = filter_trajectory(p)
-        eff = retrofilter(fr.record, p, rescale_every=500)
-        raw = retrofilter(fr.record, p, rescale_every=10 ** 9)
-        i = 100  # deep enough that several rescalings happened
-        assert eff.log_scale[i] != 0.0
-        assert np.allclose(eff.effect_unnormalized(i), raw.effects[i], rtol=1e-9)
+        # effects are rescaled on every step; undoing the bookkeeping must
+        # give the plain pullback through the Kraus maps
+        for unraveling in ("jump", "homodyne_x"):
+            p = params(unraveling=unraveling, t_final=0.05, seed=1)
+            ops = build_step_operators(p)
+            fr = filter_trajectory(p, ops=ops)
+            eff = retrofilter(fr.record, p, ops=ops)
+            raw = np.eye(2, dtype=complex)
+            for i in range(p.n_steps - 1, -1, -1):
+                fmap = ops.conditional_map(fr.record.outcomes[i])
+                raw = channels.adjoint_apply(fmap, raw)
+                assert eff.log_scale[i] != 0.0
+                dev = np.max(np.abs(eff.effect_unnormalized(i) - raw)) / np.abs(raw).max()
+                assert dev < 1e-12
+
+    def test_backward_batch_member_matches_single(self):
+        for unraveling in ("jump", "homodyne_x"):
+            p = params(unraveling=unraveling)
+            ops = build_step_operators(p)
+            rng = np.random.default_rng(6)
+            effects = rng.normal(size=(8, 4))
+            outcomes = rng.normal(0.0, 30.0, size=8) if p.is_homodyne \
+                else rng.integers(0, 2, size=8).astype(float)
+            batch, scale = smoothing._adjoint_step_batch(ops, outcomes, effects)
+            one, one_scale = smoothing._adjoint_step_batch(ops, outcomes[5:6], effects[5:6])
+            assert np.array_equal(batch[5], one[0])
+            assert scale[5] == one_scale[0]
 
     def test_dark_record_commutes_and_smoothing_is_trivial(self):
         p = params(omega=0.0, nbar=0.0, t_final=0.3)
