@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmath
-from .qmath import dag, mm, trace_of
+from .qmath import dag, mm
 
 
 class DimMismatchError(ValueError):
@@ -97,10 +97,3 @@ def petz_recover(cpmap, gamma, x, tol=None):
     root = qmath.hermitian_sqrt(gamma)
     inner = adjoint_apply(cpmap, mm(inv, mm(x, inv)))
     return mm(root, mm(inner, root))
-
-
-def duality_gap(cpmap, rho, x):
-    """Tr[X E(rho)] - Tr[E^dag(X) rho]; zero for exact arithmetic."""
-    lhs = trace_of(mm(x, apply(cpmap, rho)))
-    rhs = trace_of(mm(adjoint_apply(cpmap, x), rho))
-    return complex(lhs - rhs)

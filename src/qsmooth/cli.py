@@ -186,12 +186,7 @@ def _write_csv(path, cfg, header, rows):
              for key in sorted(cfg) if key != "out"]
     lines.append(header)
     lines.extend(",".join(_fmt(x) for x in row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    _emit(path, "\n".join(lines) + "\n")
 
 
 def _json_clean(obj):
@@ -206,8 +201,12 @@ def _json_clean(obj):
 
 
 def _write_json(path, doc):
-    text = json.dumps(_json_clean(doc), indent=1, sort_keys=True,
-                      allow_nan=False) + "\n"
+    _emit(path, json.dumps(_json_clean(doc), indent=1, sort_keys=True,
+                           allow_nan=False) + "\n")
+
+
+def _emit(path, text):
+    """Write to `path`, or to stdout for None or "-"."""
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
@@ -303,8 +302,8 @@ def cmd_ensemble(cfg):
     spec = ensemble.EnsembleSpec(params=p, n_traj=cfg["n_traj"])
     res = ensemble.run_ensemble(spec)
     rows = [
-        [res.times[i], res.avg_purity_filtered[i], _se_at(res.se_purity_filtered, i),
-         res.avg_purity_smoothed[i], _se_at(res.se_purity_smoothed, i),
+        [res.times[i], res.avg_purity_filtered[i], res.se_purity_filtered[i],
+         res.avg_purity_smoothed[i], res.se_purity_smoothed[i],
          res.uncond_purity[i]]
         for i in range(len(res.times))
     ]
@@ -331,10 +330,6 @@ def cmd_ensemble(cfg):
                "checks": checks}
         _write_json(cfg["out"], doc)
     return 0
-
-
-def _se_at(se, i):
-    return se[i] if np.ndim(se) else float(se)
 
 
 # -- validate -------------------------------------------------------------------

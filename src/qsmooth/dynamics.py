@@ -308,19 +308,13 @@ class StepOperators:
 
     # -- measurement operators -------------------------------------------
 
-    def jump_measurement_ops(self):
-        """(M_0, M_1) for photon counting."""
-        return self.m0, self.m1
-
-    def homodyne_measurement_op(self, y):
-        """M_y = 1 + c e^{i phi} y dt - c^dag c dt / 2 + (c^dag c dt)^2 / 8."""
-        return self._hom_base + y * self._hom_lin
-
     def measurement_op(self, outcome):
-        """Physical measurement operator for one recorded outcome."""
+        """Physical measurement operator for one recorded outcome: M_0 or M_1
+        for photon counting, M_y = 1 + c e^{i phi} y dt - c^dag c dt / 2 +
+        (c^dag c dt)^2 / 8 for homodyne."""
         if self.unraveling == "jump":
             return self.m1 if outcome >= 0.5 else self.m0
-        return self.homodyne_measurement_op(float(outcome))
+        return self._hom_base + float(outcome) * self._hom_lin
 
     # -- channels ---------------------------------------------------------
 
@@ -462,10 +456,6 @@ class FilterResult:
     def state_unnormalized(self, i):
         return np.exp(self.log_weight[i]) * self.states[i]
 
-    @property
-    def states_unnormalized(self):
-        return np.exp(self.log_weight)[:, None, None] * self.states
-
 
 def trajectory_stream(master_seed, index, domain=0):
     """Independent generator for trajectory `index` under `master_seed`.
@@ -509,6 +499,9 @@ def filter_batch(p: ModelParams, ops: StepOperators, traj_indices,
         outcomes[:, s], _ = sample_outcomes(ops, u, r, noise[:, s])
         r = ops.combine(u, outcomes[:, s])
         w = vector_trace(r)
+        if np.any(w <= 1e-300):
+            raise qmath.ZeroTraceError(f"filtered state lost its weight at step {s}, "
+                                       f"trajectory {idx[int(np.argmax(w <= 1e-300))]}")
         log_weight[:, s + 1] = log_weight[:, s] + np.log(w)
         r = r / w[:, None]
         states[:, s + 1] = r

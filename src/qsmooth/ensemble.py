@@ -8,7 +8,7 @@ bit-identical from run to run and independent of how the work is batched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -115,16 +115,12 @@ def run_ensemble(spec: EnsembleSpec) -> EnsembleResult:
     hi = spec.steady_window[1] if spec.steady_window[1] is not None else p.t_final
     win = (times >= lo) & (times <= hi)
 
-    pf_sum = np.zeros(n + 1)
-    pf_sq = np.zeros(n + 1)
-    ps_sum = np.zeros(n + 1)
-    ps_sq = np.zeros(n + 1)
-    bf_sum = np.zeros((n + 1, 3))
-    bs_sum = np.zeros((n + 1, 3))
-    gain_sum = 0.0
-    gain_sq = 0.0
-    min_eig = np.inf
-    max_tr_defect = 0.0
+    # index 0: filtered, 1: smoothed
+    pur_sum = np.zeros((2, n + 1))
+    pur_sq = np.zeros((2, n + 1))
+    bloch_sum = np.zeros((2, n + 1, 3))
+    gain_sum = gain_sq = 0.0
+    min_eig, max_tr_defect = np.inf, 0.0
 
     for start in range(0, n_traj, _CHUNK):
         idx = range(start, min(start + _CHUNK, n_traj))
@@ -132,34 +128,29 @@ def run_ensemble(spec: EnsembleSpec) -> EnsembleResult:
         nb = states.shape[0]
 
         # backward pass fused with per-time filtered and smoothed statistics
-        pur_f = np.empty((nb, n + 1))
-        pur_s = np.empty((nb, n + 1))
+        pur = np.empty((2, nb, n + 1))
         effect = np.broadcast_to(to_vector(np.eye(p.dim), ops.basis),
                                  states[:, 0].shape).copy()
         for s in range(n, -1, -1):
-            rho = to_matrix(states[:, s], ops.basis)
-            roots = qmath.sqrt_psd_stack(rho)
-            sm = np.einsum("nij,njk,nkl->nil", roots, to_matrix(effect, ops.basis), roots)
-            tr = np.einsum("nii->n", sm).real
-            sm /= tr[:, None, None]
-            pur_f[:, s] = np.einsum("nij,nji->n", rho, rho).real
-            pur_s[:, s] = np.einsum("nij,nji->n", sm, sm).real
-            bf_sum[s] += qmath.bloch_vector(rho).sum(axis=0)
-            bs_sum[s] += qmath.bloch_vector(sm).sum(axis=0)
-            pf_sum[s] += pur_f[:, s].sum()
-            pf_sq[s] += (pur_f[:, s] ** 2).sum()
-            ps_sum[s] += pur_s[:, s].sum()
-            ps_sq[s] += (pur_s[:, s] ** 2).sum()
-            me = qmath.min_eigenvalue_stack(sm).min()
-            min_eig = min(min_eig, float(me))
-            max_tr_defect = max(
-                max_tr_defect,
-                float(np.max(np.abs(np.einsum("nii->n", sm).real - 1.0))))
+            pur[0, :, s], bloch_f, _, _ = smoothing.qubit_statistics(states[:, s])
+            sm = smoothing.qubit_sandwich(states[:, s], effect)
+            w = vector_trace(sm)
+            if np.any(w <= 1e-300):
+                raise qmath.ZeroTraceError(
+                    "record is inconsistent with the filtered state at time index "
+                    f"{s}, trajectory {start + int(np.argmax(w <= 1e-300))}")
+            pur[1, :, s], bloch_s, low, defect = smoothing.qubit_statistics(sm / w[:, None])
+            bloch_sum[0, s] += bloch_f.sum(axis=0)
+            bloch_sum[1, s] += bloch_s.sum(axis=0)
+            pur_sum[:, s] += pur[:, :, s].sum(axis=1)
+            pur_sq[:, s] += (pur[:, :, s] ** 2).sum(axis=1)
+            min_eig = min(min_eig, float(low.min()))
+            max_tr_defect = max(max_tr_defect, float(defect.max()))
             if s > 0:
                 effect, _ = smoothing._adjoint_step_batch(ops, outcomes[:, s - 1], effect)
 
         if np.any(win):
-            gains = (pur_s[:, win] - pur_f[:, win]).mean(axis=1)
+            gains = (pur[1][:, win] - pur[0][:, win]).mean(axis=1)
             gain_sum += gains.sum()
             gain_sq += (gains ** 2).sum()
 
@@ -170,8 +161,7 @@ def run_ensemble(spec: EnsembleSpec) -> EnsembleResult:
         var = (total_sq / n_traj - mean ** 2) * n_traj / (n_traj - 1)
         return mean, np.sqrt(np.maximum(var, 0.0) / n_traj)
 
-    pf_mean, pf_se = _mean_se(pf_sum, pf_sq)
-    ps_mean, ps_se = _mean_se(ps_sum, ps_sq)
+    (pf_mean, ps_mean), (pf_se, ps_se) = _mean_se(pur_sum, pur_sq)
     if np.any(win):
         g_mean, g_se = _mean_se(np.asarray(gain_sum), np.asarray(gain_sq))
         rel = float(g_mean) / float(np.mean(pf_mean[win]))
@@ -186,8 +176,8 @@ def run_ensemble(spec: EnsembleSpec) -> EnsembleResult:
         times=times, n_traj=n_traj,
         avg_purity_filtered=pf_mean, se_purity_filtered=pf_se,
         avg_purity_smoothed=ps_mean, se_purity_smoothed=ps_se,
-        mean_bloch_filtered=bf_sum / n_traj,
-        mean_bloch_smoothed=bs_sum / n_traj,
+        mean_bloch_filtered=bloch_sum[0] / n_traj,
+        mean_bloch_smoothed=bloch_sum[1] / n_traj,
         uncond_bloch=qmath.bloch_vector(uncond), uncond_purity=uncond_purity,
         window=(lo, hi),
         purity_gain_mean=float(g_mean), purity_gain_se=float(g_se),

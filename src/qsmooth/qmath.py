@@ -67,10 +67,6 @@ def hermitize(m):
     return 0.5 * (m + dag(m))
 
 
-def is_hermitian(m, tol=1e-12):
-    return bool(np.max(np.abs(m - dag(m))) <= tol)
-
-
 def _eigh_clamped(m, clamp_tol):
     """eigh of the hermitized input with negative eigenvalues clamped to 0.
 
@@ -105,15 +101,6 @@ def pinv_sqrt(m, tol=None, clamp_tol=PSD_CLAMP_TOL):
         tol = SUPPORT_RTOL * (w[-1] if w[-1] > 0 else 1.0)
     inv = np.where(w > tol, 1.0 / np.sqrt(np.maximum(w, tol)), 0.0)
     return (v * inv) @ dag(v)
-
-
-def support_projector(m, tol=None, clamp_tol=PSD_CLAMP_TOL):
-    """Orthogonal projector onto the support (range) of a PSD matrix."""
-    w, v = _eigh_clamped(m, clamp_tol)
-    if tol is None:
-        tol = SUPPORT_RTOL * (w[-1] if w[-1] > 0 else 1.0)
-    keep = (w > tol).astype(float)
-    return (v * keep) @ dag(v)
 
 
 def frac_power(m, alpha, tol=None, clamp_tol=PSD_CLAMP_TOL):

@@ -38,6 +38,9 @@ from .dynamics import (
 from .qmath import ZeroTraceError, mm, trace_of
 
 
+_SQRT2 = np.sqrt(2.0)
+
+
 class DegenerateWeightsError(RuntimeError):
     """Importance weights collapsed onto fewer than two samples."""
 
@@ -111,6 +114,49 @@ def petz_fuchs(filtered, effect):
     if w <= 1e-300:
         raise ZeroTraceError("record is inconsistent with the filtered state")
     return out / w
+
+
+def _dot3(a, b):
+    """Row-wise dot products of (N, 3) vectors, as explicit multiply-adds."""
+    ab = a * b
+    return ab[:, 0] + ab[:, 1] + ab[:, 2]
+
+
+def qubit_sandwich(r, e):
+    """Coordinates of sqrt(rho) E sqrt(rho), rho = r / Tr r, for qubit rows.
+
+    r (N, 4) and e (N, 4) or (4,) are coordinates in hermitian_basis(2). The
+    root, sqrt(rho) = q0 + q.sigma in Pauli form, is the closed form of
+    `qmath.sqrt_psd_stack`; with E = e0 + e.sigma the sandwich, linear in E,
+    is q0^2 e0 + 2 q0 q.e + |q|^2 e0 + ((q0^2 - |q|^2) e + 2 (q0 e0 + q.e) q).sigma.
+    An r of zero trace gives a zero row. Explicit multiply-adds, so a row's
+    bits do not depend on the batch width.
+    """
+    p = r / np.where(r[:, :1] > 0.0, 2.0 * r[:, :1], np.inf)  # rho = p0 + p.sigma
+    p0, pv = p[:, 0], p[:, 1:]
+    pv2 = _dot3(pv, pv)  # tr^2 / 4 - det
+    lam_max = p0 + np.sqrt(pv2)
+    lam_min = np.maximum(p0 * p0 - pv2, 0.0) / np.where(lam_max > 0.0, lam_max, 1.0)
+    lam_min = np.where(lam_min < qmath.RANK_FLOOR_RTOL * lam_max, 0.0, lam_min)
+    denom = np.sqrt(lam_max) + np.sqrt(lam_min)
+    safe = np.where(denom > 0.0, denom, 1.0)  # zero matrix -> zero root
+    q0 = (p0 + np.sqrt(lam_min * lam_max)) / safe
+    qv = pv / safe[:, None]
+    e0, ev = e[..., 0], e[..., 1:]
+    qe, qq, q00 = _dot3(qv, ev), _dot3(qv, qv), q0 * q0
+    out = np.empty(r.shape)
+    out[:, 0] = q00 * e0 + 2.0 * q0 * qe + qq * e0
+    out[:, 1:] = (q00 - qq)[:, None] * ev + (2.0 * (q0 * e0 + qe))[:, None] * qv
+    return out
+
+
+def qubit_statistics(s):
+    """(purity, Bloch vector, smallest eigenvalue, |trace - 1|) per row of
+    normalized qubit coordinates s (N, 4), state (s0 + s.sigma) / sqrt(2):
+    sum_a s_a^2, sqrt(2) s, (s0 - |s|) / sqrt(2) and |sqrt(2) s0 - 1|."""
+    vec2 = _dot3(s[:, 1:], s[:, 1:])
+    return (s[:, 0] * s[:, 0] + vec2, _SQRT2 * s[:, 1:],
+            (s[:, 0] - np.sqrt(vec2)) / _SQRT2, np.abs(_SQRT2 * s[:, 0] - 1.0))
 
 
 def petz_fuchs_series(filtered_states, effects):
@@ -305,15 +351,13 @@ class GwResult:
 def _combine_true_states(true_states, log_v, effects, basis):
     """Self-normalized mixtures of true states against the effects.
 
-    true_states: (N, T, d^2) normalized, as coordinates in `basis`; log_v:
-    (N, T) log importance weights; effects: (T, d, d). Returns (gw, gw_pf,
-    ess).
+    true_states: (N, T, 4) normalized qubit states, as coordinates in
+    `basis`; log_v: (N, T) log importance weights; effects: (T, 2, 2).
+    Returns (gw, gw_pf, ess).
     """
     n_t = true_states.shape[1]
-    d = effects.shape[-1]
     effect_vectors = to_vector(effects, basis)
-    gw = np.empty((n_t, d * d))
-    gw_pf = np.empty((n_t, d, d), dtype=complex)
+    gw, gw_pf = np.empty((2, n_t, 4))
     ess = np.empty(n_t)
     for t in range(n_t):
         r = true_states[:, t]
@@ -325,11 +369,9 @@ def _combine_true_states(true_states, log_v, effects, basis):
             raise DegenerateWeightsError(f"all weights vanished at index {t}")
         ess[t] = wsum / w.max()
         gw[t] = np.einsum("n,na->a", w, r) / wsum
-        roots = qmath.sqrt_psd_stack(to_matrix(r, basis))
-        sand = np.einsum("nij,jk,nkl->nil", roots, effects[t], roots)
-        pf = np.einsum("n,nij->ij", v, sand)
-        gw_pf[t] = pf / trace_of(pf).real
-    return to_matrix(gw, basis), gw_pf, ess
+        pf = np.einsum("n,na->a", v, qubit_sandwich(r, effect_vectors[t]))
+        gw_pf[t] = pf / vector_trace(pf)
+    return to_matrix(gw, basis), to_matrix(gw_pf, basis), ess
 
 
 def gw_smooth(record: MeasurementRecord, p: ModelParams, bob_unraveling,

@@ -29,6 +29,13 @@ def random_state(rng, d=2, full_rank=True):
     return rho / trace_of(rho).real
 
 
+def duality_gap(cpmap, rho, x):
+    """Tr[X E(rho)] - Tr[E^dag(X) rho]; zero for exact arithmetic."""
+    lhs = trace_of(mm(x, apply(cpmap, rho)))
+    rhs = trace_of(mm(adjoint_apply(cpmap, x), rho))
+    return complex(lhs - rhs)
+
+
 def random_unitary(rng, d=2):
     h = _rng_matrix(rng, d)
     h = h + dag(h)
@@ -74,7 +81,7 @@ class TestAdjoint:
             m = random_cpmap(rng, trace_preserving=False)
             rho = random_state(rng)
             x = mm(g := _rng_matrix(rng), dag(g))
-            assert abs(channels.duality_gap(m, rho, x)) < 1e-12
+            assert abs(duality_gap(m, rho, x)) < 1e-12
 
 
 class TestCompose:
@@ -188,7 +195,7 @@ class TestThreeLevelMaps:
         m = random_cpmap(rng, d=3, trace_preserving=False)
         rho = random_state(rng, d=3)
         g = _rng_matrix(rng, 3)
-        assert abs(channels.duality_gap(m, rho, mm(g, dag(g)))) < 1e-10
+        assert abs(duality_gap(m, rho, mm(g, dag(g)))) < 1e-10
 
 
 class TestCPMapValidation:
@@ -214,4 +221,4 @@ def test_duality_property(seed):
     rho = random_state(rng)
     g = _rng_matrix(rng)
     x = mm(g, dag(g))
-    assert abs(channels.duality_gap(m, rho, x)) < 1e-11
+    assert abs(duality_gap(m, rho, x)) < 1e-11

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qsmooth import channels, qmath
+from qsmooth import channels, dynamics, qmath
 from qsmooth.dynamics import (
     UNRAVELINGS,
     InvalidParamsError,
@@ -17,7 +17,7 @@ from qsmooth.dynamics import (
     trajectory_stream,
     unconditional_series,
 )
-from qsmooth.qmath import EXCITED, GROUND, dag, mm, trace_of
+from qsmooth.qmath import EXCITED, GROUND, ZeroTraceError, dag, mm, trace_of
 
 
 def params(**kw):
@@ -100,7 +100,7 @@ class TestStepOperators:
 
     def test_jump_physical_completeness_exact(self):
         ops = build_step_operators(params(dt=1e-2))
-        m0, m1 = ops.jump_measurement_ops()
+        m0, m1 = ops.m0, ops.m1
         total = mm(dag(m0), m0) + mm(dag(m1), m1)
         assert np.max(np.abs(total - np.eye(2))) < 1e-12
 
@@ -163,18 +163,22 @@ class TestUnconditional:
 
     def test_full_horizon_matches_rk4_oracle(self):
         # RK4 on the exact generator at a 10x finer step, fully
-        # independent of the operator-product discretization.
+        # independent of the operator-product discretization. The generator
+        # is linear, so it runs on coordinates: column b of its real matrix
+        # is the generator applied to basis element b.
         p = params()
-        rho = np.asarray(p.rho0, dtype=complex)
+        basis = hermitian_basis(2)
+        gen = np.stack([to_vector(_liouville(p, g), basis) for g in basis], axis=-1)
+        x = to_vector(p.rho0, basis)
         h = 1e-4
         for _ in range(int(round(p.t_final / h))):
-            k1 = _liouville(p, rho)
-            k2 = _liouville(p, rho + 0.5 * h * k1)
-            k3 = _liouville(p, rho + 0.5 * h * k2)
-            k4 = _liouville(p, rho + h * k3)
-            rho = rho + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            k1 = gen @ x
+            k2 = gen @ (x + 0.5 * h * k1)
+            k3 = gen @ (x + 0.5 * h * k2)
+            k4 = gen @ (x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         ours = unconditional_series(p)[-1]
-        assert np.max(np.abs(ours - rho)) < 5e-4
+        assert np.max(np.abs(ours - to_matrix(x, basis))) < 5e-4
 
 
 class TestSampleStep:
@@ -184,6 +188,20 @@ class TestSampleStep:
         p = one_step(omega=0.0, nbar=0.0)
         outcomes, _, _, _ = filter_batch(p, build_step_operators(p), range(50))
         assert np.all(outcomes == 0.0)
+
+    def test_impossible_click_raises_with_indices(self, monkeypatch):
+        # no drive, no thermal photons, ground state: a click has zero
+        # probability, so forcing one leaves a state of zero weight
+        p = one_step(omega=0.0, nbar=0.0, rho0=GROUND)
+        sample = dynamics.sample_outcomes
+
+        def click(ops, u, r, noise):
+            _, summary = sample(ops, u, r, noise)
+            return np.ones(len(noise)), summary
+
+        monkeypatch.setattr(dynamics, "sample_outcomes", click)
+        with pytest.raises(ZeroTraceError, match=r"step 0, trajectory 3"):
+            filter_batch(p, build_step_operators(p), [3, 4])
 
     def test_excited_state_click_probability(self):
         p = one_step(rho0=EXCITED)

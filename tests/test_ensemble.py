@@ -4,6 +4,7 @@ import pytest
 from qsmooth import smoothing
 from qsmooth.dynamics import ModelParams
 from qsmooth.ensemble import EnsembleSpec, criterion2_enumerate, run_ensemble
+from qsmooth.qmath import ZeroTraceError
 
 
 def params(**kw):
@@ -63,6 +64,24 @@ class TestRunEnsemble:
                            chunked.avg_purity_smoothed, atol=1e-13)
         assert np.allclose(full.mean_bloch_filtered,
                            chunked.mean_bloch_filtered, atol=1e-13)
+
+    def test_zero_smoothed_weight_names_time_and_trajectory(self, monkeypatch):
+        # zero the sandwich of the second row of the second chunk only: the
+        # error must name the global trajectory index, not the row
+        import qsmooth.ensemble as ens
+        sandwich = smoothing.qubit_sandwich
+
+        def zero_row(r, e):
+            out = sandwich(r, e)
+            if len(r) == 3:
+                out[1] = 0.0
+            return out
+
+        monkeypatch.setattr(smoothing, "qubit_sandwich", zero_row)
+        monkeypatch.setattr(ens, "_CHUNK", 7)
+        p = params(t_final=0.05)
+        with pytest.raises(ZeroTraceError, match=r"time index 50, trajectory 8"):
+            run_ensemble(EnsembleSpec(params=p, n_traj=10))
 
     def test_standard_error_scaling(self):
         p = params(t_final=0.6)

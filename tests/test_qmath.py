@@ -13,8 +13,8 @@ from qsmooth.qmath import (
     mm,
     pinv_sqrt,
     purity,
-    support_projector,
 )
+from qsmooth.qmath import SUPPORT_RTOL
 
 
 EPS = np.finfo(float).eps
@@ -35,6 +35,14 @@ def _complex_matrix(draw, dim, scale=2.0):
 def psd_matrices(draw, dim=2):
     g = _complex_matrix(draw, dim)
     return mm(g, dag(g))
+
+
+def support_projector(m):
+    """Orthogonal projector onto the support (range) of a PSD matrix."""
+    w, v = np.linalg.eigh(qmath.hermitize(m))
+    tol = SUPPORT_RTOL * (w[-1] if w[-1] > 0 else 1.0)
+    keep = (w > tol).astype(float)
+    return (v * keep) @ dag(v)
 
 
 class TestHermitianSqrt:

@@ -1,18 +1,32 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qsmooth import channels, classical, qmath, smoothing
-from qsmooth.dynamics import ModelParams, build_step_operators, filter_trajectory
-from qsmooth.qmath import ZeroTraceError, dag, mm, trace_of
+from qsmooth.dynamics import (
+    ModelParams,
+    build_step_operators,
+    filter_trajectory,
+    hermitian_basis,
+    to_vector,
+    vector_trace,
+)
+from qsmooth.qmath import EXCITED, GROUND, ZeroTraceError, dag, mm, trace_of
 from qsmooth.smoothing import (
     petz_fuchs,
     petz_fuchs_recursive,
     petz_fuchs_series,
+    qubit_sandwich,
+    qubit_statistics,
     retrofilter,
     smooth_trajectory,
     swv_state,
     symmetrized_product,
 )
+
+EPS = np.finfo(float).eps
+BASIS = hermitian_basis(2)
 
 
 def params(**kw):
@@ -33,6 +47,102 @@ def random_effect(rng):
     g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     e = mm(g, dag(g)) + 0.05 * np.eye(2)
     return e / np.linalg.norm(e, 2)
+
+
+def _vector(draw, n, scale=2.0):
+    elems = st.floats(-scale, scale, allow_nan=False, allow_infinity=False)
+    return np.array(draw(st.lists(elems, min_size=n, max_size=n)))
+
+
+@st.composite
+def qubit_states(draw):
+    """Unnormalized qubit states: general, pure, maximally mixed or rank one
+    plus a small multiple of the identity."""
+    kind = draw(st.sampled_from(["general", "pure", "mixed", "near_rank_one"]))
+    re, im = _vector(draw, 4), _vector(draw, 4)
+    g = (re + 1j * im).reshape(2, 2)
+    v = g[0]
+    if kind == "mixed" or np.linalg.norm(v) == 0.0:
+        rho = np.eye(2, dtype=complex)
+    elif kind == "general":
+        rho = mm(g, dag(g))
+    else:
+        rho = np.outer(v, v.conj())
+        if kind == "near_rank_one":
+            rho = rho + draw(st.floats(1e-16, 1e-6)) * np.eye(2)
+    if trace_of(rho).real < 1e-6:
+        rho = np.eye(2, dtype=complex)
+    return draw(st.floats(1e-3, 1e3)) * rho
+
+
+@st.composite
+def qubit_effects(draw):
+    g = (_vector(draw, 4) + 1j * _vector(draw, 4)).reshape(2, 2)
+    return mm(g, dag(g))
+
+
+# lmin / lmax = 5.8e-14 after normalization, next to the rank floor
+NEAR_RANK_ONE = mm(np.array([[1, 1.25 + 0.5j], [1e-6 + 1j, -0.5 + 1.25j]]),
+                   dag(np.array([[1, 1.25 + 0.5j], [1e-6 + 1j, -0.5 + 1.25j]])))
+
+
+class TestQubitSandwich:
+    @given(qubit_states(), qubit_effects())
+    @settings(max_examples=300, deadline=None)
+    @example(NEAR_RANK_ONE, np.eye(2, dtype=complex))
+    @example(np.eye(2, dtype=complex), EXCITED)
+    def test_matches_matrix_route(self, rho, effect):
+        norm = rho / trace_of(rho).real
+        root = qmath.sqrt_psd_stack(norm[None])[0]
+        ref = to_vector(mm(root, mm(effect, root)), BASIS)
+        out = qubit_sandwich(to_vector(rho, BASIS)[None], to_vector(effect, BASIS)[None])[0]
+        scale = max(1.0, np.abs(effect).max())
+        # must hold unconditionally: Tr[sqrt(rho) E sqrt(rho)] = Tr[rho E],
+        # and the sandwich is PSD
+        pairing = trace_of(mm(norm, effect)).real
+        assert abs(vector_trace(out) - pairing) < 1e-10 * scale
+        m = np.einsum("a,aij->ij", out, BASIS)
+        assert qmath.min_eigenvalue(m) >= -1e-10 * scale
+        # The routes agree as well as their roots do, which is only well
+        # posed away from rank one (see test_closed_form_sqrt_matches_eigh)
+        w = np.linalg.eigvalsh(norm)
+        if w[0] <= 0.0 or 2.0 * EPS * w[-1] / np.sqrt(w[0]) >= 1e-12:
+            return
+        assert np.max(np.abs(out - ref)) < 1e-12 * scale
+
+    @given(qubit_states())
+    @settings(max_examples=200, deadline=None)
+    def test_statistics_match_matrix_routines(self, rho):
+        norm = rho / trace_of(rho).real
+        s = to_vector(norm, BASIS)
+        purity, bloch, low, defect = qubit_statistics(s[None])
+        assert abs(purity[0] - qmath.purity(norm)) < 1e-12
+        assert np.max(np.abs(bloch[0] - qmath.bloch_vector(norm[None])[0])) < 1e-12
+        assert abs(low[0] - qmath.min_eigenvalue_stack(norm[None])[0]) < 1e-12
+        assert abs(defect[0] - abs(trace_of(norm).real - 1.0)) < 1e-15
+        # the trace defect reads the input, it is not zero by construction
+        assert qubit_statistics(1.5 * s[None])[3][0] == pytest.approx(0.5, abs=1e-15)
+
+    def test_batch_member_matches_single(self):
+        rng = np.random.default_rng(11)
+        g = rng.normal(size=(8, 2, 2)) + 1j * rng.normal(size=(8, 2, 2))
+        r = to_vector(mm(g, dag(g)), BASIS)
+        g = rng.normal(size=(8, 2, 2)) + 1j * rng.normal(size=(8, 2, 2))
+        e = to_vector(mm(g, dag(g)), BASIS)
+        wide, one = qubit_sandwich(r, e), qubit_sandwich(r[5:6], e[5:6])
+        assert np.array_equal(wide[5], one[0])
+        s = wide / vector_trace(wide)[:, None]
+        for a, b in zip(qubit_statistics(s), qubit_statistics(s[5:6])):
+            assert np.array_equal(a[5], b[0])
+
+    def test_ground_against_excited_has_zero_weight(self):
+        out = qubit_sandwich(to_vector(GROUND, BASIS)[None], to_vector(EXCITED, BASIS)[None])
+        assert vector_trace(out)[0] <= 1e-300
+        assert np.max(np.abs(out)) <= 1e-300
+
+    def test_zero_state_gives_zero_row(self):
+        out = qubit_sandwich(np.zeros((1, 4)), to_vector(np.eye(2), BASIS)[None])
+        assert np.all(out == 0.0)
 
 
 class TestRetrofilter:
