@@ -11,7 +11,7 @@ from .dynamics import (
     filter_trajectory,
     unconditional_series,
 )
-from .ensemble import EnsembleSpec, criterion2_enumerate, run_ensemble
+from .ensemble import EnsembleSpec, run_ensemble
 from .qmath import NotPSDError, ZeroTraceError, hermitian_sqrt, min_eigenvalue, pinv_sqrt, purity
 from .smoothing import (
     DegenerateWeightsError,

@@ -83,7 +83,7 @@ def compose(second, first):
     return CPMap(tuple(mm(b, a) for b in second.kraus for a in first.kraus))
 
 
-def petz_recover(cpmap, gamma, x, tol=None):
+def petz_recover(cpmap, gamma, x):
     """Petz recovery of x through cpmap with reference prior gamma.
 
     Returns sqrt(gamma) E^dag[ E[gamma]^-1/2 x E[gamma]^-1/2 ] sqrt(gamma),
@@ -93,7 +93,7 @@ def petz_recover(cpmap, gamma, x, tol=None):
     gamma = _check_dim(cpmap, gamma)
     x = _check_dim(cpmap, x)
     egamma = apply(cpmap, gamma)
-    inv = qmath.pinv_sqrt(egamma, tol=tol)
+    inv = qmath.pinv_sqrt(egamma)
     root = qmath.hermitian_sqrt(gamma)
     inner = adjoint_apply(cpmap, mm(inv, mm(x, inv)))
     return mm(root, mm(inner, root))

@@ -94,17 +94,17 @@ def cl_reverse_map(kernel, y, prior):
     return r
 
 
-def cl_smooth_retro_step(kernel, y, prior, smoothed_next, weight_tol=0.0):
+def cl_smooth_retro_step(kernel, y, prior, smoothed_next):
     """One backward smoothing step p_S(t) = R @ p_S(t+dt).
 
-    Raises UnreachableOutcomeError if smoothed_next puts weight above
-    weight_tol on a state the prior cannot reach through F_y.
+    Raises UnreachableOutcomeError if smoothed_next puts positive weight
+    on a state the prior cannot reach through F_y.
     """
     f = kernel.matrix(y)
     prior = np.asarray(prior, dtype=float)
     smoothed_next = np.asarray(smoothed_next, dtype=float)
     denom = f @ prior
-    bad = (denom <= 0.0) & (smoothed_next > weight_tol)
+    bad = (denom <= 0.0) & (smoothed_next > 0.0)
     if np.any(bad):
         raise UnreachableOutcomeError(
             f"smoothed weight on unreachable states {np.nonzero(bad)[0].tolist()}")
@@ -185,7 +185,7 @@ def enumerate_joint(kernel, record, prior, t):
     return joint
 
 
-def diagonal_kernel(maps, basis_dim=None):
+def diagonal_kernel(maps):
     """Classical kernel induced by diagonal-preserving quantum maps.
 
     `maps` is a dict outcome -> CPMap whose action preserves diagonal
@@ -194,8 +194,7 @@ def diagonal_kernel(maps, basis_dim=None):
     """
     from . import channels  # local import keeps module dependencies one-way
 
-    first = next(iter(maps.values()))
-    n = basis_dim or first.dim
+    n = next(iter(maps.values())).dim
     mats = {}
     for y, cpmap in maps.items():
         f = np.empty((n, n))

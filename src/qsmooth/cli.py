@@ -24,16 +24,15 @@ import sys
 
 import numpy as np
 
-from . import channels, classical, ensemble, qmath, smoothing
+from . import checks, classical, ensemble, qmath, smoothing
 from .dynamics import (
     UNRAVELINGS,
     InvalidParamsError,
     ModelParams,
     build_step_operators,
-    filter_trajectory,
     unconditional_series,
 )
-from .qmath import NotPSDError, ZeroTraceError, dag, mm
+from .qmath import NotPSDError, ZeroTraceError
 
 SMOOTHERS = ("petz_fuchs", "recursive", "swv", "gw")
 
@@ -154,13 +153,14 @@ def _parse_bloch(raw):
         raise ConfigError(f"rho0: {exc}")
 
 
-def build_params(cfg):
+def build_params(cfg, **overrides):
+    """ModelParams of the config, with any fields in `overrides` replaced."""
+    fields = dict(omega=cfg["omega"], nbar=cfg["nbar"], gamma=cfg["gamma"],
+                  unraveling=cfg["unraveling"], phi=cfg["phi"], dt=cfg["dt"],
+                  t_final=cfg["t_final"], rho0=_parse_bloch(cfg["rho0"]),
+                  eta=cfg["eta"], seed=cfg["seed"])
     try:
-        return ModelParams(
-            omega=cfg["omega"], nbar=cfg["nbar"], gamma=cfg["gamma"],
-            unraveling=cfg["unraveling"], phi=cfg["phi"], dt=cfg["dt"],
-            t_final=cfg["t_final"], rho0=_parse_bloch(cfg["rho0"]),
-            eta=cfg["eta"], seed=cfg["seed"])
+        return ModelParams(**{**fields, **overrides})
     except InvalidParamsError as exc:
         raise ConfigError(str(exc))
 
@@ -224,28 +224,25 @@ def _json_config(cfg):
 def cmd_simulate(cfg):
     p = build_params(cfg)
     ops = build_step_operators(p)
-    fr = filter_trajectory(p, 0, ops=ops)
-    eff = smoothing.retrofilter(fr.record, p, ops=ops)
+    res = smoothing.smooth_trajectory(p, ops=ops)
+    smoothed, pur_f, pur_s = res.smoothed, res.purity_filtered, res.purity_smoothed
     if "recursive" in cfg["smoothers"]:
-        smoothed = smoothing.petz_fuchs_recursive(fr.states, fr.record, p, ops=ops)
-    else:
-        smoothed = smoothing.petz_fuchs_series(fr.states, eff.effects)
+        smoothed = smoothing.petz_fuchs_recursive(res.filtered, res.record, p, ops=ops)
+        pur_s = np.einsum("tij,tji->t", smoothed, smoothed).real
     uncond = unconditional_series(p)
 
-    bloch_f = qmath.bloch_vector(fr.states)
+    bloch_f = qmath.bloch_vector(res.filtered)
     bloch_s = qmath.bloch_vector(smoothed)
     bloch_u = qmath.bloch_vector(uncond)
-    pur_f = np.einsum("tij,tji->t", fr.states, fr.states).real
-    pur_s = np.einsum("tij,tji->t", smoothed, smoothed).real
 
     header = SIMULATE_HEADER
     extras = []
     if "swv" in cfg["smoothers"]:
-        swv_pur, swv_eig = smoothing.swv_purity_series(fr.states, eff.effects)
+        swv_pur, swv_eig = smoothing.swv_purity_series(res.filtered, res.effects)
         extras.append(("p_swv", swv_pur))
         extras.append(("swv_min_eig", swv_eig))
     if "gw" in cfg["smoothers"]:
-        gw = smoothing.gw_smooth(fr.record, p, cfg["bob_unraveling"],
+        gw = smoothing.gw_smooth(res.record, p, cfg["bob_unraveling"],
                                  cfg["n_bob"], seed=p.seed)
         gb = qmath.bloch_vector(gw.gw)
         extras.extend([("gx", gb[:, 0]), ("gy", gb[:, 1]), ("gz", gb[:, 2]),
@@ -256,10 +253,10 @@ def cmd_simulate(cfg):
         header = header + "," + ",".join(name for name, _ in extras)
 
     n = p.n_steps
-    outcome_col = np.concatenate([[np.nan], fr.record.outcomes])
+    outcome_col = np.concatenate([[np.nan], res.record.outcomes])
     rows = []
     for i in range(n + 1):
-        row = [fr.times[i], outcome_col[i],
+        row = [res.times[i], outcome_col[i],
                bloch_f[i, 0], bloch_f[i, 1], bloch_f[i, 2],
                bloch_s[i, 0], bloch_s[i, 1], bloch_s[i, 2],
                bloch_u[i, 0], bloch_u[i, 1], bloch_u[i, 2],
@@ -267,13 +264,8 @@ def cmd_simulate(cfg):
         row.extend(col[i] for _, col in extras)
         rows.append(row)
 
-    lp = smoothing.SmoothingResult(
-        params=p, record=fr.record, times=fr.times, filtered=fr.states,
-        log_weight=fr.log_weight, effects=eff.effects,
-        effect_log_scale=eff.log_scale, smoothed=smoothed,
-        purity_filtered=pur_f, purity_smoothed=pur_s).log_pairing
-    checks = {
-        "pairing_rel_spread": float((lp.max() - lp.min()) / max(abs(lp.mean()), 1e-300)),
+    summary = {
+        "pairing_rel_spread": checks.pairing_spread(res.log_pairing),
         "min_smoothed_eigenvalue": float(qmath.min_eigenvalue_stack(smoothed).min()),
     }
 
@@ -281,14 +273,14 @@ def cmd_simulate(cfg):
         _write_csv(cfg["out"], cfg, header, rows)
     else:
         doc = {"config": _json_config(cfg),
-               "times": fr.times.tolist(),
+               "times": res.times.tolist(),
                "outcome": outcome_col.tolist(),
                "filtered_bloch": bloch_f.tolist(),
                "smoothed_bloch": bloch_s.tolist(),
                "unconditional_bloch": bloch_u.tolist(),
                "purity_filtered": pur_f.tolist(),
                "purity_smoothed": pur_s.tolist(),
-               "checks": checks}
+               "checks": summary}
         for name, col in extras:
             doc[name] = np.asarray(col).tolist()
         _write_json(cfg["out"], doc)
@@ -307,7 +299,7 @@ def cmd_ensemble(cfg):
          res.uncond_purity[i]]
         for i in range(len(res.times))
     ]
-    checks = {
+    summary = {
         "purity_gain_mean": res.purity_gain_mean,
         "purity_gain_se": res.purity_gain_se,
         "relative_improvement": res.relative_improvement,
@@ -327,143 +319,23 @@ def cmd_ensemble(cfg):
                "mean_bloch_filtered": res.mean_bloch_filtered.tolist(),
                "mean_bloch_smoothed": res.mean_bloch_smoothed.tolist(),
                "uncond_bloch": res.uncond_bloch.tolist(),
-               "checks": checks}
+               "checks": summary}
         _write_json(cfg["out"], doc)
     return 0
 
 
 # -- validate -------------------------------------------------------------------
 
-def _check_criterion2(cfg):
-    p = build_params({**cfg, "unraveling": "jump", "dt": 1e-2})
-    defect = ensemble.criterion2_enumerate(p, past_steps=5, future_steps=6)
-    return defect, 1e-10
-
-
-def _check_closed_vs_recursive(cfg):
-    worst = 0.0
-    for unr in ("jump", "homodyne_x"):
-        p = build_params({**cfg, "unraveling": unr,
-                          "t_final": 50 * cfg["dt"]})
-        fr = filter_trajectory(p)
-        eff = smoothing.retrofilter(fr.record, p)
-        closed = smoothing.petz_fuchs_series(fr.states, eff.effects)
-        rec = smoothing.petz_fuchs_recursive(fr.states, fr.record, p)
-        worst = max(worst, float(np.max(np.abs(closed - rec))))
-    return worst, 1e-8
-
-
-def _check_petz_composability(cfg):
-    rng = np.random.default_rng(cfg["seed"] + 1)
-    worst = 0.0
-    for _ in range(20):
-        m1 = _random_cpmap(rng)
-        m2 = _random_cpmap(rng)
-        gamma = _random_full_rank_state(rng)
-        x = _random_full_rank_state(rng)
-        via_two = channels.petz_recover(
-            m1, gamma, channels.petz_recover(m2, channels.apply(m1, gamma), x))
-        direct = channels.petz_recover(channels.compose(m2, m1), gamma, x)
-        worst = max(worst, float(np.max(np.abs(via_two - direct))))
-    return worst, 1e-9
-
-
-def _check_classical_reduction(cfg):
-    p = build_params({**cfg, "omega": 0.0, "unraveling": "jump",
-                      "dt": 1e-2, "t_final": 0.5, "rho0": "0,0,-0.4"})
-    ops = build_step_operators(p)
-    fr = filter_trajectory(p)
-    eff = smoothing.retrofilter(fr.record, p, ops=ops)
-    smoothed = smoothing.petz_fuchs_series(fr.states, eff.effects)
-    kernel = classical.diagonal_kernel({y: ops.conditional_map(y) for y in (0, 1)})
-    prior = np.diag(p.rho0).real
-    rec = [int(b) for b in fr.record.outcomes]
-    cls = classical.smooth_bayes_series(kernel, rec, prior)
-    cls = cls / cls.sum(axis=1)[:, None]
-    q_diag = np.einsum("tii->ti", smoothed).real
-    return float(np.max(np.abs(q_diag - cls))), 1e-10
-
-
-def _check_completeness(cfg):
-    p = build_params(cfg)
-    ops = build_step_operators(p)
-    jump_defect = ops.unconditional_map().completeness_defect()
-    k_defect = ops.dissipation_map().completeness_defect()
-    # homodyne: E[M^dag M] over the ostensible Gaussian has an O(dt^2) gap
-    y2 = ops.ctc * p.dt
-    a = np.eye(p.dim) - 0.5 * y2 + 0.125 * mm(y2, y2)
-    resid = mm(a, a) + y2 - np.eye(p.dim)
-    hom_defect = float(np.max(np.abs(resid)))
-    tol = max(1e-12, 0.75 * (np.linalg.norm(ops.ctc, 2) * p.dt) ** 2)
-    defect = max(jump_defect, k_defect, hom_defect)
-    return defect, tol
-
-
-def _check_pairing(cfg):
-    worst = 0.0
-    for unr in UNRAVELINGS:
-        p = build_params({**cfg, "unraveling": unr, "t_final": min(cfg["t_final"], 2.0)})
-        res = smoothing.smooth_trajectory(p)
-        lp = res.log_pairing
-        worst = max(worst, float((lp.max() - lp.min()) / max(abs(lp.mean()), 1e-300)))
-    return worst, 1e-8
-
-
-def _check_swv_identity(cfg):
-    rng = np.random.default_rng(cfg["seed"] + 2)
-    worst = 0.0
-    for _ in range(25):
-        rho = _random_full_rank_state(rng)
-        e = _random_effect(rng)
-        pf = smoothing.petz_fuchs(rho, e)
-        swv = smoothing.swv_state(rho, e).state
-        root = qmath.hermitian_sqrt(rho)
-        comm = mm(e, root) - mm(root, e)
-        dc = mm(comm, root) - mm(root, comm)
-        tr = np.einsum("ij,ji->", rho, e).real
-        worst = max(worst, float(np.max(np.abs(pf - (swv - dc / (2.0 * tr))))))
-    return worst, 1e-10
-
-
-def _random_cpmap(rng):
-    ks = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2)]
-    total = sum(mm(dag(k), k) for k in ks)
-    root = qmath.pinv_sqrt(total)
-    return channels.CPMap(tuple(mm(k, root) for k in ks))
-
-
-def _random_full_rank_state(rng):
-    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    rho = mm(g, dag(g)) + 0.05 * np.eye(2)
-    return rho / np.trace(rho).real
-
-
-def _random_effect(rng):
-    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    e = mm(g, dag(g)) + 0.05 * np.eye(2)
-    return e / np.linalg.norm(e, 2)
-
-
-_VALIDATE_CHECKS = (
-    ("criterion2_enumeration", _check_criterion2),
-    ("closed_vs_recursive", _check_closed_vs_recursive),
-    ("petz_composability", _check_petz_composability),
-    ("classical_reduction", _check_classical_reduction),
-    ("completeness_residual", _check_completeness),
-    ("pairing_constant", _check_pairing),
-    ("swv_double_commutator", _check_swv_identity),
-)
-
-
 def cmd_validate(cfg):
+    """Run every row of `checks.CHECKS` on models derived from the config."""
+    p = build_params(cfg)
     report = []
-    all_pass = True
-    for name, fn in _VALIDATE_CHECKS:
-        defect, tol = fn(cfg)
-        passed = bool(defect < tol)
-        all_pass &= passed
-        report.append({"check": name, "passed": passed,
+    for name, check, models in checks.CHECKS:
+        results = [check(build_params(cfg, **ov)) for ov in models(p)]
+        defect, tol = max(d for d, _ in results), min(t for _, t in results)
+        report.append({"check": name, "passed": bool(defect < tol),
                        "defect": float(defect), "tolerance": float(tol)})
+    all_pass = all(c["passed"] for c in report)
     doc = {"config": _json_config(cfg), "checks": report,
            "all_passed": all_pass}
     _write_json(cfg["out"], doc)

@@ -208,9 +208,9 @@ def stack_products(stack, r):
 class StepOperators:
     """Discretized one-step operators for one unraveling choice.
 
-    `c` is the monitored (detected) collapse operator, `a` the unmeasured
-    absorption operator; `k` holds the dissipation Kraus list for every
-    unmeasured channel, with k[0] the exact no-event square root.
+    `c` is the monitored (detected) collapse operator; `k` holds the
+    dissipation Kraus list for every unmeasured channel, with k[0] the
+    exact no-event square root.
 
     `blocks` are the transfer matrices F_y is assembled from: (S_0, S_1)
     for photon counting, (A, B, C) with S_y = A + y B + y^2 C for homodyne.
@@ -222,7 +222,6 @@ class StepOperators:
     u: np.ndarray
     k: tuple
     c: np.ndarray
-    a: np.ndarray
     dt: float
     unraveling: str
     phi: Optional[float] = None
@@ -301,10 +300,8 @@ class StepOperators:
             total += mm(dag(L), L)
             events.append(np.sqrt(dt) * L)
         k0 = qmath.hermitian_sqrt(eye - total * dt)
-        a = unmeasured[0] if unmeasured else np.zeros((d, d), dtype=complex)
         return cls(u=u, k=(k0, *events), c=np.asarray(c, dtype=complex),
-                   a=np.asarray(a, dtype=complex), dt=dt,
-                   unraveling=unraveling, phi=phi)
+                   dt=dt, unraveling=unraveling, phi=phi)
 
     # -- measurement operators -------------------------------------------
 
@@ -468,23 +465,21 @@ def trajectory_stream(master_seed, index, domain=0):
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def filter_batch(p: ModelParams, ops: StepOperators, traj_indices,
-                 master_seed=None):
+def filter_batch(p: ModelParams, ops: StepOperators, traj_indices):
     """Filter a batch of trajectories in lockstep.
 
     Returns (outcomes (N, n), noise (N, n) or None, states (N, n+1, d^2),
     log_weight (N, n+1)); states are coordinate vectors in `ops.basis`.
     Trajectory i consumes only the stream derived from
-    (master_seed, traj_indices[i]), so results do not depend on how
+    (p.seed, traj_indices[i]), so results do not depend on how
     trajectories are grouped into batches.
     """
-    master_seed = p.seed if master_seed is None else master_seed
     n = p.n_steps
     idx = list(traj_indices)
     nb = len(idx)
     noise = np.empty((nb, n))
     for row, i in enumerate(idx):
-        rng = trajectory_stream(master_seed, i)
+        rng = trajectory_stream(p.seed, i)
         noise[row] = rng.normal(0.0, np.sqrt(p.dt), size=n) if p.is_homodyne \
             else rng.random(n)
 

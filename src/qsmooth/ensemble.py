@@ -1,7 +1,7 @@
 """Seeded Monte-Carlo ensembles over measurement records.
 
 Trajectories run in vectorized lockstep in fixed-size chunks, each one
-driven only by its own stream derived from (master_seed, index), and all
+driven only by its own stream derived from (params.seed, index), and all
 reductions happen in fixed index order. Statistics are therefore
 bit-identical from run to run and independent of how the work is batched.
 """
@@ -9,7 +9,6 @@ bit-identical from run to run and independent of how the work is batched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -18,19 +17,8 @@ from .dynamics import (
     ModelParams,
     build_step_operators,
     filter_batch,
-    filter_trajectory,
-    stack_products,
-    to_matrix,
     to_vector,
     vector_trace,
-)
-
-ALL_OUTPUTS = (
-    "avg_purity_filtered",
-    "avg_purity_smoothed",
-    "mean_bloch_filtered",
-    "mean_bloch_smoothed",
-    "unconditional_baseline",
 )
 
 _CHUNK = 512
@@ -38,22 +26,15 @@ _CHUNK = 512
 
 @dataclass(frozen=True, eq=False)
 class EnsembleSpec:
-    """What to run and what to report."""
+    """What to run: n_traj trajectories of params, seeded by params.seed."""
 
     params: ModelParams
     n_traj: int
-    master_seed: Optional[int] = None
-    outputs: tuple = ALL_OUTPUTS
     steady_window: tuple = (4.0, None)
 
     def __post_init__(self):
         if self.n_traj < 1:
             raise ValueError("n_traj must be at least 1")
-        unknown = set(self.outputs) - set(ALL_OUTPUTS)
-        if unknown:
-            raise ValueError(f"unknown outputs requested: {sorted(unknown)}")
-        if self.master_seed is None:
-            object.__setattr__(self, "master_seed", self.params.seed)
 
 
 @dataclass(eq=False)
@@ -84,24 +65,17 @@ class EnsembleResult:
     max_smoothed_trace_defect: float
 
     @property
-    def window_avg_purity_filtered(self):
-        return self._window_mean(self.avg_purity_filtered)
-
-    @property
     def window_avg_purity_smoothed(self):
-        return self._window_mean(self.avg_purity_smoothed)
-
-    def _window_mean(self, series):
         lo, hi = self.window
         sel = (self.times >= lo) & (self.times <= hi)
-        return float(np.mean(series[sel]))
+        return float(np.mean(self.avg_purity_smoothed[sel]))
 
 
 def run_ensemble(spec: EnsembleSpec) -> EnsembleResult:
     """Monte-Carlo ensemble of filtered and smoothed trajectories.
 
     Deterministic given the spec: trajectory i always consumes stream
-    (master_seed, i) and chunks are reduced in index order.
+    (params.seed, i) and chunks are reduced in index order.
     """
     p = spec.params
     if p.dim != 2:
@@ -115,16 +89,19 @@ def run_ensemble(spec: EnsembleSpec) -> EnsembleResult:
     hi = spec.steady_window[1] if spec.steady_window[1] is not None else p.t_final
     win = (times >= lo) & (times <= hi)
 
-    # index 0: filtered, 1: smoothed
+    # index 0: filtered, 1: smoothed. Spreads are summed as deviations from
+    # trajectory 0 (row 0 of chunk 0), so that where every trajectory agrees
+    # the standard error is exactly 0, not amplified round-off.
     pur_sum = np.zeros((2, n + 1))
-    pur_sq = np.zeros((2, n + 1))
+    pur_dev = np.zeros((2, 2, n + 1))  # sums of (pur - shift) and its square
     bloch_sum = np.zeros((2, n + 1, 3))
-    gain_sum = gain_sq = 0.0
+    gain_sum = 0.0
+    gain_dev = np.zeros(2)
     min_eig, max_tr_defect = np.inf, 0.0
 
     for start in range(0, n_traj, _CHUNK):
         idx = range(start, min(start + _CHUNK, n_traj))
-        outcomes, _, states, _ = filter_batch(p, ops, idx, spec.master_seed)
+        outcomes, _, states, _ = filter_batch(p, ops, idx)
         nb = states.shape[0]
 
         # backward pass fused with per-time filtered and smoothed statistics
@@ -143,7 +120,6 @@ def run_ensemble(spec: EnsembleSpec) -> EnsembleResult:
             bloch_sum[0, s] += bloch_f.sum(axis=0)
             bloch_sum[1, s] += bloch_s.sum(axis=0)
             pur_sum[:, s] += pur[:, :, s].sum(axis=1)
-            pur_sq[:, s] += (pur[:, :, s] ** 2).sum(axis=1)
             min_eig = min(min_eig, float(low.min()))
             max_tr_defect = max(max_tr_defect, float(defect.max()))
             if s > 0:
@@ -152,18 +128,27 @@ def run_ensemble(spec: EnsembleSpec) -> EnsembleResult:
         if np.any(win):
             gains = (pur[1][:, win] - pur[0][:, win]).mean(axis=1)
             gain_sum += gains.sum()
-            gain_sq += (gains ** 2).sum()
+            if start == 0:
+                gain_shift = gains[0]
+            gains -= gain_shift
+            gain_dev += (gains.sum(), (gains * gains).sum())
+        if start == 0:
+            pur_shift = pur[:, :1].copy()
+        pur -= pur_shift
+        pur_dev[0] += pur.sum(axis=1)
+        pur_dev[1] += np.square(pur, out=pur).sum(axis=1)
 
-    def _mean_se(total, total_sq):
+    def _mean_se(total, dev):
         mean = total / n_traj
         if n_traj < 2:
             return mean, np.full_like(np.asarray(mean, dtype=float), np.nan)
-        var = (total_sq / n_traj - mean ** 2) * n_traj / (n_traj - 1)
+        d = dev[0] / n_traj
+        var = (dev[1] / n_traj - d * d) * n_traj / (n_traj - 1)
         return mean, np.sqrt(np.maximum(var, 0.0) / n_traj)
 
-    (pf_mean, ps_mean), (pf_se, ps_se) = _mean_se(pur_sum, pur_sq)
+    (pf_mean, ps_mean), (pf_se, ps_se) = _mean_se(pur_sum, pur_dev)
     if np.any(win):
-        g_mean, g_se = _mean_se(np.asarray(gain_sum), np.asarray(gain_sq))
+        g_mean, g_se = _mean_se(np.asarray(gain_sum), gain_dev)
         rel = float(g_mean) / float(np.mean(pf_mean[win]))
     else:
         g_mean = g_se = rel = np.nan
@@ -184,37 +169,3 @@ def run_ensemble(spec: EnsembleSpec) -> EnsembleResult:
         relative_improvement=rel,
         min_smoothed_eigenvalue=float(min_eig),
         max_smoothed_trace_defect=float(max_tr_defect))
-
-
-def criterion2_enumerate(p: ModelParams, past_steps, future_steps,
-                         effect_scale=1.0, traj_index=0):
-    """Defect of averaging smoothed states over every enumerated future.
-
-    Runs `past_steps` of a seeded photon-counting record, enumerates all
-    2**future_steps continuations, and returns the max entrywise defect of
-    sum_f p(f | past) rho_S(t) against the filtered state at t. The
-    terminal effect is `effect_scale` times the identity; the defect is
-    invariant under that scale.
-    """
-    if p.unraveling != "jump":
-        raise ValueError("future enumeration is defined for the jump unraveling")
-    if future_steps < 0 or future_steps > 16:
-        raise ValueError("future_steps must lie in [0, 16]")
-    ops = build_step_operators(p)
-    past = p.replace(t_final=max(past_steps, 1) * p.dt)
-    fr = filter_trajectory(past, traj_index, ops=build_step_operators(past))
-    rho_f = fr.states[past_steps] if past_steps > 0 else np.asarray(p.rho0)
-
-    futures = np.array(list(np.ndindex(*([2] * future_steps))), dtype=float)
-    r = np.broadcast_to(to_vector(rho_f, ops.basis), (len(futures), p.dim ** 2))
-    e = effect_scale * np.broadcast_to(to_vector(np.eye(p.dim), ops.basis), r.shape)
-    for j in range(future_steps):
-        r = ops.combine(stack_products(ops.forward, r), futures[:, j])
-        e = ops.combine(stack_products(ops.backward, e), futures[:, future_steps - 1 - j])
-    weights = vector_trace(r)  # p(future | past); the futures sum to 1
-    effects = to_matrix(e, ops.basis)
-    acc = np.zeros((p.dim, p.dim), dtype=complex)
-    for w, effect in zip(weights, effects):
-        if w > 0.0:
-            acc += w * smoothing.petz_fuchs(rho_f, effect)
-    return float(np.max(np.abs(acc - rho_f)))

@@ -67,47 +67,46 @@ def hermitize(m):
     return 0.5 * (m + dag(m))
 
 
-def _eigh_clamped(m, clamp_tol):
+def _eigh_clamped(m):
     """eigh of the hermitized input with negative eigenvalues clamped to 0.
 
-    Raises NotPSDError if any eigenvalue lies below -clamp_tol.
+    Raises NotPSDError if any eigenvalue lies below -PSD_CLAMP_TOL.
     """
     w, v = np.linalg.eigh(hermitize(np.asarray(m, dtype=complex)))
-    if w[0] < -clamp_tol:
+    if w[0] < -PSD_CLAMP_TOL:
         raise NotPSDError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
     return np.maximum(w, 0.0), v
 
 
-def hermitian_sqrt(m, clamp_tol=PSD_CLAMP_TOL):
+def hermitian_sqrt(m):
     """Hermitian PSD square root S with S @ S = m.
 
-    Eigenvalues in [-clamp_tol, 0) are clamped to zero before the root,
+    Eigenvalues in [-PSD_CLAMP_TOL, 0) are clamped to zero before the root,
     and relative rank-deficiency junk is floored (see RANK_FLOOR_RTOL).
     """
-    w, v = _eigh_clamped(m, clamp_tol)
+    w, v = _eigh_clamped(m)
     w[w < RANK_FLOOR_RTOL * w[-1]] = 0.0
     return (v * np.sqrt(w)) @ dag(v)
 
 
-def pinv_sqrt(m, tol=None, clamp_tol=PSD_CLAMP_TOL):
+def pinv_sqrt(m, tol=None):
     """Support-restricted inverse square root of a PSD matrix.
 
     Eigenvalues above `tol` map to lambda**-0.5, the rest to 0. The default
     tolerance is SUPPORT_RTOL times the largest eigenvalue, so support
     detection is scale free for unnormalized states.
     """
-    w, v = _eigh_clamped(m, clamp_tol)
+    w, v = _eigh_clamped(m)
     if tol is None:
         tol = SUPPORT_RTOL * (w[-1] if w[-1] > 0 else 1.0)
     inv = np.where(w > tol, 1.0 / np.sqrt(np.maximum(w, tol)), 0.0)
     return (v * inv) @ dag(v)
 
 
-def frac_power(m, alpha, tol=None, clamp_tol=PSD_CLAMP_TOL):
+def frac_power(m, alpha):
     """m**alpha on the support of m (0**alpha := 0), for PSD m."""
-    w, v = _eigh_clamped(m, clamp_tol)
-    if tol is None:
-        tol = max(SUPPORT_RTOL, RANK_FLOOR_RTOL) * (w[-1] if w[-1] > 0 else 1.0)
+    w, v = _eigh_clamped(m)
+    tol = max(SUPPORT_RTOL, RANK_FLOOR_RTOL) * (w[-1] if w[-1] > 0 else 1.0)
     p = np.where(w > tol, np.maximum(w, tol) ** alpha, 0.0)
     return (v * p) @ dag(v)
 

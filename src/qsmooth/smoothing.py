@@ -272,11 +272,6 @@ class SmoothingResult:
     purity_smoothed: np.ndarray
 
     @property
-    def log_likelihood(self):
-        """Log weight of the whole record under the model."""
-        return float(self.log_weight[-1])
-
-    @property
     def log_pairing(self):
         """log Tr[E_R(t) rho_F(t)] with all scale bookkeeping restored.
 
@@ -304,7 +299,7 @@ def smooth_trajectory(p: ModelParams, traj_index=0,
 
 # -- two-observer (true state) estimators ------------------------------------
 
-def _true_state_operators(p: ModelParams, bob_unraveling, bob_phi=None):
+def _true_state_operators(p: ModelParams, bob_unraveling):
     """Step operators of the true-state step, split between the observers.
 
     The second observer measures the absorption channel a (no drive); any
@@ -315,7 +310,7 @@ def _true_state_operators(p: ModelParams, bob_unraveling, bob_phi=None):
     h, c, unmeasured = model_operators(p)
     alice = StepOperators.from_operators(h, c, (), p.dt, p.unraveling, p.phi)
     bob = StepOperators.from_operators(np.zeros_like(h), unmeasured[0], unmeasured[1:],
-                                       p.dt, bob_unraveling, bob_phi)
+                                       p.dt, bob_unraveling)
     return alice, bob
 
 
@@ -375,7 +370,7 @@ def _combine_true_states(true_states, log_v, effects, basis):
 
 
 def gw_smooth(record: MeasurementRecord, p: ModelParams, bob_unraveling,
-              n_bob, seed, bob_phi=None) -> GwResult:
+              n_bob, seed) -> GwResult:
     """Monte-Carlo two-observer smoothing along a fixed observed record.
 
     Propagates `n_bob` true-state trajectories with the observed outcome
@@ -388,7 +383,7 @@ def gw_smooth(record: MeasurementRecord, p: ModelParams, bob_unraveling,
     if len(record) != p.n_steps:
         raise ValueError(
             f"record has {len(record)} steps but the grid has {p.n_steps}")
-    alice, bob = _true_state_operators(p, bob_unraveling, bob_phi)
+    alice, bob = _true_state_operators(p, bob_unraveling)
     ops = build_step_operators(p)
     eff = retrofilter(record, p, ops=ops)
     n = len(record)

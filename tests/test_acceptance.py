@@ -3,7 +3,8 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see one pass line per
 criterion. The three full-size ensembles (3000 trajectories each) are
 shared between the physicality, average-purity, and convergence criteria;
-expect a few minutes of total runtime.
+expect a few minutes of total runtime. Criteria 1, 3, 4, 5 and 8(b) run the
+functions of `qsmooth.checks` that `qsmooth validate` runs, on fixed models.
 """
 
 import time
@@ -11,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from qsmooth import channels, classical, qmath, smoothing
+from qsmooth import checks, classical, smoothing
 from qsmooth.dynamics import (
     ModelParams,
     build_step_operators,
@@ -20,8 +21,7 @@ from qsmooth.dynamics import (
     to_matrix,
     to_vector,
 )
-from qsmooth.ensemble import EnsembleSpec, criterion2_enumerate, run_ensemble
-from qsmooth.qmath import dag, mm, trace_of
+from qsmooth.ensemble import EnsembleSpec, run_ensemble
 
 BASE = dict(omega=5.0, nbar=0.5, gamma=1.0, dt=1e-3, t_final=7.5)
 ENSEMBLE_SEED = 2024
@@ -48,11 +48,11 @@ def fig2_ensembles():
 def test_criterion_1_future_enumeration_exact():
     p = ModelParams(unraveling="jump", seed=7, **{**BASE, "dt": 1e-2})
     start = time.perf_counter()
-    defect = criterion2_enumerate(p, past_steps=5, future_steps=6)
+    defect, tol = checks.future_enumeration(p)
     elapsed = time.perf_counter() - start
     _report("criterion 1 (future-record enumeration)",
-            defect < 1e-10 and elapsed < 1.0,
-            f"max defect {defect:.3e} (tol 1e-10), runtime {elapsed:.2f}s")
+            defect < tol and elapsed < 1.0,
+            f"max defect {defect:.3e} (tol {tol:g}), runtime {elapsed:.2f}s")
 
 
 def test_criterion_2_physicality(fig2_ensembles):
@@ -66,18 +66,13 @@ def test_criterion_2_physicality(fig2_ensembles):
 
 
 def test_criterion_3_closed_form_equals_recursion():
-    worst = 0.0
     unravelings = ("jump", "homodyne_x", "homodyne_y")
-    for i in range(100):
-        p = ModelParams(unraveling=unravelings[i % 3], seed=1000 + i,
-                        **{**BASE, "dt": 1e-2, "t_final": 0.5})
-        fr = filter_trajectory(p)
-        eff = smoothing.retrofilter(fr.record, p)
-        closed = smoothing.petz_fuchs_series(fr.states, eff.effects)
-        rec = smoothing.petz_fuchs_recursive(fr.states, fr.record, p)
-        worst = max(worst, float(np.max(np.abs(closed - rec))))
+    results = [checks.closed_vs_recursive(
+        ModelParams(unraveling=unravelings[i % 3], seed=1000 + i,
+                    **{**BASE, "dt": 1e-2, "t_final": 0.5})) for i in range(100)]
+    worst, tol = max(d for d, _ in results), results[0][1]
     _report("criterion 3 (closed form vs recursion, 100 x 50 steps)",
-            worst < 1e-8, f"max deviation {worst:.3e} (tol 1e-8)")
+            worst < tol, f"max deviation {worst:.3e} (tol {tol:g})")
 
 
 def test_criterion_4_classical_reduction():
@@ -85,46 +80,19 @@ def test_criterion_4_classical_reduction():
     p = ModelParams(unraveling="jump", omega=0.0, nbar=0.5, dt=1e-2,
                     t_final=2.0, rho0=rho0, seed=31)
     assert p.n_steps == 200
-    ops = build_step_operators(p)
-    fr = filter_trajectory(p)
-    eff = smoothing.retrofilter(fr.record, p, ops=ops)
-    smoothed = smoothing.petz_fuchs_series(fr.states, eff.effects)
-    kernel = classical.diagonal_kernel({y: ops.conditional_map(y) for y in (0, 1)})
-    record = [int(b) for b in fr.record.outcomes]
-    cls = classical.smooth_bayes_series(kernel, record, np.diag(rho0).real)
-    cls = cls / cls.sum(axis=1)[:, None]
-    diag_dev = float(np.max(np.abs(np.einsum("tii->ti", smoothed).real - cls)))
+    diag_dev, tol = checks.classical_reduction(p)
+    smoothed, _ = checks.diagonal_smoothing(p)
     offdiag = float(np.max(np.abs(smoothed[:, 0, 1])))
     _report("criterion 4 (classical reduction, 200 steps)",
-            diag_dev < 1e-10 and offdiag < 1e-12,
-            f"max diagonal deviation {diag_dev:.3e} (tol 1e-10), "
+            diag_dev < tol and offdiag < 1e-12,
+            f"max diagonal deviation {diag_dev:.3e} (tol {tol:g}), "
             f"max coherence {offdiag:.2e}")
 
 
 def test_criterion_5_petz_composability():
-    rng = np.random.default_rng(99)
-    worst = 0.0
-    for _ in range(200):
-        ks1 = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2)]
-        ks2 = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2)]
-        maps = []
-        for ks in (ks1, ks2):
-            total = sum(mm(dag(k), k) for k in ks)
-            root = qmath.pinv_sqrt(total)
-            maps.append(channels.CPMap(tuple(mm(k, root) for k in ks)))
-        m1, m2 = maps
-        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        gamma = mm(g, dag(g)) + 0.05 * np.eye(2)
-        gamma /= trace_of(gamma).real
-        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        x = mm(g, dag(g))
-        x /= trace_of(x).real
-        two_step = channels.petz_recover(
-            m1, gamma, channels.petz_recover(m2, channels.apply(m1, gamma), x))
-        direct = channels.petz_recover(channels.compose(m2, m1), gamma, x)
-        worst = max(worst, float(np.max(np.abs(two_step - direct))))
+    worst, tol = checks.petz_composability(ModelParams(seed=99, **BASE))
     _report("criterion 5 (Petz composability, 200 channel pairs)",
-            worst < 1e-9, f"max deviation {worst:.3e} (tol 1e-9)")
+            worst < tol, f"max deviation {worst:.3e} (tol {tol:g})")
 
 
 def test_criterion_6_average_purity_improvement(fig2_ensembles):
@@ -179,25 +147,11 @@ def test_criterion_8_swv_unphysical_and_identity():
     unphysical = max_swv_purity > 1.0 + 1e-6
 
     # part (b): the double-commutator relation to the closed form
-    rng = np.random.default_rng(4)
-    worst = 0.0
-    for _ in range(100):
-        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        rho = mm(g, dag(g)) + 0.05 * np.eye(2)
-        rho /= trace_of(rho).real
-        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        e = mm(g, dag(g)) + 0.05 * np.eye(2)
-        pf = smoothing.petz_fuchs(rho, e)
-        swv = smoothing.swv_state(rho, e).state
-        root = qmath.hermitian_sqrt(rho)
-        comm = mm(e, root) - mm(root, e)
-        dc = mm(comm, root) - mm(root, comm)
-        tr = trace_of(mm(rho, e)).real
-        worst = max(worst, float(np.max(np.abs(pf - (swv - dc / (2.0 * tr))))))
+    worst, tol = checks.swv_identity(ModelParams(seed=4, **BASE))
     _report("criterion 8 (SWV unphysicality and identity)",
-            unphysical and worst < 1e-10,
+            unphysical and worst < tol,
             f"max SWV purity {max_swv_purity:.4f} (> 1 + 1e-6: {unphysical}); "
-            f"identity deviation {worst:.3e} (tol 1e-10)")
+            f"identity deviation {worst:.3e} (tol {tol:g})")
 
 
 def test_criterion_9_two_observer_equivalence():

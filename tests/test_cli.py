@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qsmooth import cli, smoothing
+from qsmooth import checks, cli, smoothing
 from qsmooth.cli import ENSEMBLE_HEADER, SIMULATE_HEADER, main
 from qsmooth.qmath import ZeroTraceError
 
@@ -108,6 +108,14 @@ class TestSimulate:
         assert doc["config"]["seed"] == 5
         assert doc["checks"]["pairing_rel_spread"] < 1e-8
 
+    def test_uninformative_record_pairing(self, tmp_path, capsys):
+        # eta = 0: the log pairing sits near 0, so a spread relative to its
+        # mean would read round-off as a large number
+        out = tmp_path / "sim.json"
+        run(["simulate", "--eta", "0", "--t-final", "0.5", "--format", "json",
+             "--out", str(out)])
+        assert json.loads(out.read_text())["checks"]["pairing_rel_spread"] < 1e-8
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         def boom(*a, **kw):
             raise ZeroTraceError("record is inconsistent at time index 7")
@@ -199,9 +207,22 @@ class TestValidateCommand:
         assert get(coarse_doc)["defect"] > 100 * get(fine_doc)["defect"]
 
     def test_failure_exit_code(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_VALIDATE_CHECKS",
-                            (("always_fails", lambda cfg: (1.0, 1e-10)),))
+        monkeypatch.setattr(checks, "CHECKS",
+                            (("always_fails", lambda p: (1.0, 1e-10), lambda p: [{}]),))
         assert run(["validate", "--out", str(tmp_path / "r.json")]) == 1
+
+    def test_eta_zero_passes_with_every_check(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert run(["validate", "--eta", "0", "--out", str(out)]) == 0
+        names = [c["check"] for c in json.loads(out.read_text())["checks"]]
+        assert names == ["criterion2_enumeration", "closed_vs_recursive",
+                         "petz_composability", "classical_reduction",
+                         "completeness_residual", "pairing_constant",
+                         "swv_double_commutator"]
+
+    def test_invalid_derived_model_is_config_error(self, tmp_path, capsys):
+        # valid at dt = 1e-3, but the enumeration model's dt = 1e-2 is not
+        assert run(["validate", "--nbar", "150", "--out", str(tmp_path / "r.json")]) == 2
 
 
 class TestClassicalDemo:

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from qsmooth import smoothing
+from qsmooth.checks import future_enumeration
 from qsmooth.dynamics import ModelParams
-from qsmooth.ensemble import EnsembleSpec, criterion2_enumerate, run_ensemble
+from qsmooth.ensemble import EnsembleSpec, run_ensemble
 from qsmooth.qmath import ZeroTraceError
 
 
@@ -18,13 +19,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             EnsembleSpec(params=params(), n_traj=0)
 
-    def test_unknown_outputs(self):
-        with pytest.raises(ValueError):
-            EnsembleSpec(params=params(), n_traj=1, outputs=("purity_of_joy",))
-
-    def test_master_seed_defaults_to_params_seed(self):
-        spec = EnsembleSpec(params=params(seed=33), n_traj=1)
-        assert spec.master_seed == 33
 
 
 class TestRunEnsemble:
@@ -83,6 +77,13 @@ class TestRunEnsemble:
         with pytest.raises(ZeroTraceError, match=r"time index 50, trajectory 8"):
             run_ensemble(EnsembleSpec(params=p, n_traj=10))
 
+    def test_standard_error_exact_where_trajectories_agree(self):
+        # every trajectory starts in rho0; 640 spans one full chunk and a
+        # remainder
+        p = params(t_final=0.02, seed=1)
+        res = run_ensemble(EnsembleSpec(params=p, n_traj=640))
+        assert res.se_purity_filtered[0] == 0.0
+
     def test_standard_error_scaling(self):
         p = params(t_final=0.6)
         se_small = run_ensemble(EnsembleSpec(params=p, n_traj=200)).se_purity_smoothed
@@ -111,18 +112,18 @@ class TestRunEnsemble:
 
 class TestCriterion2Enumerate:
     def test_zero_future_steps(self):
-        assert criterion2_enumerate(params(dt=1e-2), 5, 0) < 1e-15
+        assert future_enumeration(params(dt=1e-2), 5, 0)[0] < 1e-15
 
     def test_small_enumeration_defect(self):
         p = params(dt=1e-2, seed=3)
-        assert criterion2_enumerate(p, past_steps=5, future_steps=3) < 1e-10
+        assert future_enumeration(p, past_steps=5, future_steps=3)[0] < 1e-10
 
     def test_scale_invariance(self):
         p = params(dt=1e-2, seed=4)
-        d1 = criterion2_enumerate(p, 5, 3)
-        d2 = criterion2_enumerate(p, 5, 3, effect_scale=3.7)
+        d1, _ = future_enumeration(p, 5, 3)
+        d2, _ = future_enumeration(p, 5, 3, effect_scale=3.7)
         assert abs(d1 - d2) < 1e-12
 
     def test_rejects_homodyne(self):
         with pytest.raises(ValueError):
-            criterion2_enumerate(params(unraveling="homodyne_x"), 2, 2)
+            future_enumeration(params(unraveling="homodyne_x"), 2, 2)

@@ -1,0 +1,47 @@
+"""The smoothed state's invariants over the valid parameter space.
+
+Draws cover all three unravelings, nbar and eta at their edges (nbar = 0,
+eta in {0, 1}) and inside, dt up to 0.95 of the bound gamma (nbar+1) dt < 1,
+pure and mixed initial states, and horizons of 1 to 40 steps.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qsmooth import checks, qmath, smoothing
+from qsmooth.dynamics import UNRAVELINGS, ModelParams
+from qsmooth.ensemble import EnsembleSpec, run_ensemble
+
+
+@st.composite
+def models(draw):
+    nbar = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
+    eta = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    # the larger of the measured and unmeasured rates bounds dt
+    rate = max(eta * (nbar + 1.0), nbar + (1.0 - eta) * (nbar + 1.0))
+    dt = draw(st.floats(0.01, 0.95)) / rate
+    direction = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)))
+    norm = np.linalg.norm(direction)
+    if norm < 1e-3:
+        direction, norm = np.array([0.0, 0.0, -1.0]), 1.0
+    radius = draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0)))
+    return ModelParams(
+        omega=draw(st.floats(0.0, 10.0)), nbar=nbar, eta=eta,
+        unraveling=draw(st.sampled_from(UNRAVELINGS)), dt=dt,
+        t_final=draw(st.integers(1, 40)) * dt,
+        rho0=qmath.bloch_state(*(radius / norm * direction)),
+        seed=draw(st.integers(0, 2 ** 31 - 1)))
+
+
+@given(models())
+@settings(max_examples=100, deadline=None)
+def test_smoothing_invariants(p):
+    res = smoothing.smooth_trajectory(p)
+    assert checks.pairing_spread(res.log_pairing) < 1e-8
+    assert qmath.min_eigenvalue_stack(res.smoothed).min() >= -1e-10
+    assert np.max(np.abs(np.einsum("tii->t", res.smoothed).real - 1.0)) <= 1e-12
+    assert np.max(np.abs(res.smoothed[-1] - res.filtered[-1])) <= 1e-12
+    ens = run_ensemble(EnsembleSpec(params=p, n_traj=1))
+    assert np.max(np.abs(ens.avg_purity_filtered - res.purity_filtered)) <= 1e-12
+    assert np.max(np.abs(ens.avg_purity_smoothed - res.purity_smoothed)) <= 1e-12
