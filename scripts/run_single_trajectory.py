@@ -15,8 +15,16 @@ import sys
 import numpy as np
 
 from qsmooth import qmath, smoothing
-from qsmooth.cli import _write_csv
 from qsmooth.dynamics import ModelParams, build_step_operators, filter_batch
+
+
+def write_csv(path, cfg, header, rows):
+    """`# key = value` preamble, header, then rows at full precision."""
+    lines = [f"# {key} = {cfg[key]}" for key in sorted(cfg)]
+    lines.append(header)
+    lines.extend(",".join(f"{x:.17g}" for x in row) for row in rows)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def main():
@@ -60,7 +68,7 @@ def main():
              bf[i, 0], bf[i, 1], bf[i, 2], bs[i, 0], bs[i, 1], bs[i, 2],
              res.purity_filtered[i], res.purity_smoothed[i]]
             for i in range(len(res.times))]
-    _write_csv(args.out, cfg, "t,outcome,fx,fy,fz,sx,sy,sz,p_filt,p_smooth", rows)
+    write_csv(args.out, cfg, "t,outcome,fx,fy,fz,sx,sy,sz,p_filt,p_smooth", rows)
     print(f"wrote {args.out}")
     return 0
 

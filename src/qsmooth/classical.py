@@ -9,7 +9,6 @@ the retrofiltered effect, and the backward retrodictive-map recursion.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,24 +164,6 @@ def sample_record(kernel, prior, steps, rng):
         state = cl_filter_step(kernel, y, state)
         state /= state.sum()
     return record, state
-
-
-def enumerate_joint(kernel, record, prior, t):
-    """Brute-force p(x_t = x, O) by summing over all hidden paths.
-
-    Exponential in len(record); intended as a test oracle for small
-    instances only.
-    """
-    n = kernel.n_states
-    steps = len(record)
-    prior = np.asarray(prior, dtype=float)
-    joint = np.zeros(n)
-    for path in itertools.product(range(n), repeat=steps + 1):
-        w = prior[path[0]]
-        for s in range(steps):
-            w *= kernel.matrix(record[s])[path[s + 1], path[s]]
-        joint[path[t]] += w
-    return joint
 
 
 def diagonal_kernel(maps):

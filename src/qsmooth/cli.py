@@ -293,6 +293,9 @@ def cmd_ensemble(cfg):
     p = build_params(cfg)
     spec = ensemble.EnsembleSpec(params=p, n_traj=cfg["n_traj"])
     res = ensemble.run_ensemble(spec)
+    if np.isnan(res.purity_gain_mean):
+        print("qsmooth: note: the steady window {:g} <= t <= {:g} holds no grid time, "
+              "so the purity gains are null".format(*res.window), file=sys.stderr)
     rows = [
         [res.times[i], res.avg_purity_filtered[i], res.se_purity_filtered[i],
          res.avg_purity_smoothed[i], res.se_purity_smoothed[i],

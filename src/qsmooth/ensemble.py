@@ -22,6 +22,7 @@ from .dynamics import (
 )
 
 _CHUNK = 512
+_BLOCK = 8  # time steps per batch of statistics in the backward pass
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,12 +65,6 @@ class EnsembleResult:
     min_smoothed_eigenvalue: float
     max_smoothed_trace_defect: float
 
-    @property
-    def window_avg_purity_smoothed(self):
-        lo, hi = self.window
-        sel = (self.times >= lo) & (self.times <= hi)
-        return float(np.mean(self.avg_purity_smoothed[sel]))
-
 
 def run_ensemble(spec: EnsembleSpec) -> EnsembleResult:
     """Monte-Carlo ensemble of filtered and smoothed trajectories.
@@ -104,26 +99,41 @@ def run_ensemble(spec: EnsembleSpec) -> EnsembleResult:
         outcomes, _, states, _ = filter_batch(p, ops, idx)
         nb = states.shape[0]
 
-        # backward pass fused with per-time filtered and smoothed statistics
+        # Backward pass: effects are pulled back one step at a time into a
+        # coordinate-major buffer of _BLOCK time steps; the filtered and
+        # smoothed statistics then run once per block, over all of its
+        # (time, trajectory) pairs.
         pur = np.empty((2, nb, n + 1))
         effect = np.broadcast_to(to_vector(np.eye(p.dim), ops.basis),
                                  states[:, 0].shape).copy()
-        for s in range(n, -1, -1):
-            pur[0, :, s], bloch_f, _, _ = smoothing.qubit_statistics(states[:, s])
-            sm = smoothing.qubit_sandwich(states[:, s], effect)
-            w = vector_trace(sm)
-            if np.any(w <= 1e-300):
+        buf = np.empty((p.dim ** 2, _BLOCK, nb))
+        for stop in range(n + 1, 0, -_BLOCK):
+            first = max(stop - _BLOCK, 0)  # the block holds times first .. stop - 1
+            for s in range(stop - 1, first - 1, -1):
+                buf[:, s - first] = effect.T
+                if s > 0:
+                    effect, _ = smoothing._adjoint_step_batch(ops, outcomes[:, s - 1], effect)
+            # (4, time, trajectory) coordinates of the block
+            r = np.ascontiguousarray(states[:, first:stop].transpose(2, 1, 0))
+            pur_f, bloch_f, _, _ = smoothing.qubit_statistics(r)
+            sm = smoothing.qubit_sandwich(r, buf[:, :stop - first])
+            w = vector_trace(np.moveaxis(sm, 0, -1))
+            bad = w <= 1e-300
+            if np.any(bad):
+                k = int(np.flatnonzero(bad.any(axis=1))[-1])  # latest time first
                 raise qmath.ZeroTraceError(
                     "record is inconsistent with the filtered state at time index "
-                    f"{s}, trajectory {start + int(np.argmax(w <= 1e-300))}")
-            pur[1, :, s], bloch_s, low, defect = smoothing.qubit_statistics(sm / w[:, None])
-            bloch_sum[0, s] += bloch_f.sum(axis=0)
-            bloch_sum[1, s] += bloch_s.sum(axis=0)
-            pur_sum[:, s] += pur[:, :, s].sum(axis=1)
+                    f"{first + k}, trajectory {start + int(np.argmax(bad[k]))}")
+            pur_s, bloch_s, low, defect = smoothing.qubit_statistics(sm / w)
+            both = np.stack((pur_f, pur_s))  # (2, time, trajectory)
+            pur[:, :, first:stop] = both.transpose(0, 2, 1)
+            pur_sum[:, first:stop] += both.sum(axis=2)
+            for kind, bloch in enumerate((bloch_f, bloch_s)):
+                # a trajectory-major copy keeps the sums in index order
+                by_traj = np.ascontiguousarray(bloch.transpose(2, 1, 0))
+                bloch_sum[kind, first:stop] += by_traj.sum(axis=0)
             min_eig = min(min_eig, float(low.min()))
             max_tr_defect = max(max_tr_defect, float(defect.max()))
-            if s > 0:
-                effect, _ = smoothing._adjoint_step_batch(ops, outcomes[:, s - 1], effect)
 
         if np.any(win):
             gains = (pur[1][:, win] - pur[0][:, win]).mean(axis=1)

@@ -117,23 +117,25 @@ def petz_fuchs(filtered, effect):
 
 
 def _dot3(a, b):
-    """Row-wise dot products of (N, 3) vectors, as explicit multiply-adds."""
+    """Dot products of 3-vectors along the leading axis, (3, ...) -> (...),
+    as explicit multiply-adds."""
     ab = a * b
-    return ab[:, 0] + ab[:, 1] + ab[:, 2]
+    return ab[0] + ab[1] + ab[2]
 
 
 def qubit_sandwich(r, e):
-    """Coordinates of sqrt(rho) E sqrt(rho), rho = r / Tr r, for qubit rows.
+    """Coordinates of sqrt(rho) E sqrt(rho), rho = r / Tr r, for qubit columns.
 
-    r (N, 4) and e (N, 4) or (4,) are coordinates in hermitian_basis(2). The
-    root, sqrt(rho) = q0 + q.sigma in Pauli form, is the closed form of
-    `qmath.sqrt_psd_stack`; with E = e0 + e.sigma the sandwich, linear in E,
-    is q0^2 e0 + 2 q0 q.e + |q|^2 e0 + ((q0^2 - |q|^2) e + 2 (q0 e0 + q.e) q).sigma.
-    An r of zero trace gives a zero row. Explicit multiply-adds, so a row's
-    bits do not depend on the batch width.
+    r (4, ...) and e (4, ...) or (4, 1) are coordinates in hermitian_basis(2),
+    coordinate on the leading axis. The root, sqrt(rho) = q0 + q.sigma in
+    Pauli form, is the closed form of `qmath.sqrt_psd_stack`; with
+    E = e0 + e.sigma the sandwich, linear in E, is q0^2 e0 + 2 q0 q.e +
+    |q|^2 e0 + ((q0^2 - |q|^2) e + 2 (q0 e0 + q.e) q).sigma. An r of zero
+    trace gives a zero column. Explicit multiply-adds, so a column's bits do
+    not depend on the batch shape.
     """
-    p = r / np.where(r[:, :1] > 0.0, 2.0 * r[:, :1], np.inf)  # rho = p0 + p.sigma
-    p0, pv = p[:, 0], p[:, 1:]
+    p = r / np.where(r[:1] > 0.0, 2.0 * r[:1], np.inf)  # rho = p0 + p.sigma
+    p0, pv = p[0], p[1:]
     pv2 = _dot3(pv, pv)  # tr^2 / 4 - det
     lam_max = p0 + np.sqrt(pv2)
     lam_min = np.maximum(p0 * p0 - pv2, 0.0) / np.where(lam_max > 0.0, lam_max, 1.0)
@@ -141,22 +143,23 @@ def qubit_sandwich(r, e):
     denom = np.sqrt(lam_max) + np.sqrt(lam_min)
     safe = np.where(denom > 0.0, denom, 1.0)  # zero matrix -> zero root
     q0 = (p0 + np.sqrt(lam_min * lam_max)) / safe
-    qv = pv / safe[:, None]
-    e0, ev = e[..., 0], e[..., 1:]
+    qv = pv / safe
+    e0, ev = e[0], e[1:]
     qe, qq, q00 = _dot3(qv, ev), _dot3(qv, qv), q0 * q0
-    out = np.empty(r.shape)
-    out[:, 0] = q00 * e0 + 2.0 * q0 * qe + qq * e0
-    out[:, 1:] = (q00 - qq)[:, None] * ev + (2.0 * (q0 * e0 + qe))[:, None] * qv
+    out = np.empty_like(r)  # in r's memory layout
+    out[0] = q00 * e0 + 2.0 * q0 * qe + qq * e0
+    out[1:] = (q00 - qq) * ev + (2.0 * (q0 * e0 + qe)) * qv
     return out
 
 
 def qubit_statistics(s):
-    """(purity, Bloch vector, smallest eigenvalue, |trace - 1|) per row of
-    normalized qubit coordinates s (N, 4), state (s0 + s.sigma) / sqrt(2):
-    sum_a s_a^2, sqrt(2) s, (s0 - |s|) / sqrt(2) and |sqrt(2) s0 - 1|."""
-    vec2 = _dot3(s[:, 1:], s[:, 1:])
-    return (s[:, 0] * s[:, 0] + vec2, _SQRT2 * s[:, 1:],
-            (s[:, 0] - np.sqrt(vec2)) / _SQRT2, np.abs(_SQRT2 * s[:, 0] - 1.0))
+    """(purity, Bloch vector, smallest eigenvalue, |trace - 1|) per column of
+    normalized qubit coordinates s (4, ...), state (s0 + s.sigma) / sqrt(2):
+    sum_a s_a^2, sqrt(2) s, (s0 - |s|) / sqrt(2) and |sqrt(2) s0 - 1|. The
+    Bloch vectors keep the coordinate axis in front, (3, ...)."""
+    vec2 = _dot3(s[1:], s[1:])
+    return (s[0] * s[0] + vec2, _SQRT2 * s[1:],
+            (s[0] - np.sqrt(vec2)) / _SQRT2, np.abs(_SQRT2 * s[0] - 1.0))
 
 
 def petz_fuchs_series(filtered_states, effects):
@@ -364,7 +367,10 @@ def _combine_true_states(true_states, log_v, effects, basis):
             raise DegenerateWeightsError(f"all weights vanished at index {t}")
         ess[t] = wsum / w.max()
         gw[t] = np.einsum("n,na->a", w, r) / wsum
-        pf = np.einsum("n,na->a", v, qubit_sandwich(r, effect_vectors[t]))
+        # einsum sums in memory order, so keep the rows contiguous (no copy:
+        # the sandwich comes back in the layout of r)
+        sw = np.ascontiguousarray(qubit_sandwich(r.T, effect_vectors[t][:, None]).T)
+        pf = np.einsum("n,na->a", v, sw)
         gw_pf[t] = pf / vector_trace(pf)
     return to_matrix(gw, basis), to_matrix(gw_pf, basis), ess
 

@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from path_enumeration import enumerate_joint
 
 from qsmooth import classical
 from qsmooth.classical import (
@@ -13,7 +16,6 @@ from qsmooth.classical import (
     cl_reverse_map,
     cl_smooth_bayes,
     cl_smooth_retro_step,
-    enumerate_joint,
 )
 
 
@@ -68,6 +70,23 @@ class TestFilterStep:
         joint = enumerate_joint(k, record, prior, t=len(record))
         assert state.sum() == pytest.approx(joint.sum(), abs=1e-12)
         assert np.allclose(state, joint, atol=1e-12)
+
+
+class TestPathEnumeration:
+    def test_matches_path_loop(self):
+        # the vectorized oracle multiplies and sums in the loop's order
+        rng = np.random.default_rng(5)
+        k = random_kernel(rng)
+        prior = rng.random(3) + 0.1
+        record = [1, 0, 0, 1, 1]
+        for t in range(len(record) + 1):
+            ref = np.zeros(3)
+            for path in itertools.product(range(3), repeat=len(record) + 1):
+                w = prior[path[0]]
+                for s, y in enumerate(record):
+                    w *= k.matrix(y)[path[s + 1], path[s]]
+                ref[path[t]] += w
+            assert np.array_equal(enumerate_joint(k, record, prior, t), ref)
 
 
 class TestRetrofilterStep:

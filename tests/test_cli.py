@@ -175,6 +175,19 @@ class TestEnsembleCommand:
         assert "avg_purity_smoothed" in doc
         assert doc["checks"]["min_smoothed_eigenvalue"] >= -1e-10
 
+    def test_empty_steady_window_is_noted(self, tmp_path, capsys):
+        out = tmp_path / "ens.json"
+        run(["ensemble", "--seed", "1", "--t-final", "0.1", "--n-traj", "4",
+             "--format", "json", "--out", str(out)])
+        assert json.loads(out.read_text())["checks"]["purity_gain_mean"] is None
+        err = capsys.readouterr().err
+        assert "steady window 4 <= t <= 0.1 holds no grid time" in err
+        # a window with grid times in it gives gains and no note
+        run(["ensemble", "--seed", "1", "--t-final", "4.01", "--n-traj", "2",
+             "--format", "json", "--out", str(out)])
+        assert json.loads(out.read_text())["checks"]["purity_gain_mean"] is not None
+        assert "steady window" not in capsys.readouterr().err
+
     def test_deterministic_files(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["ensemble", "--seed", "2", "--t-final", "0.1", "--n-traj", "4"]

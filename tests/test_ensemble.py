@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from qsmooth import smoothing
 from qsmooth.checks import future_enumeration
 from qsmooth.dynamics import ModelParams
-from qsmooth.ensemble import EnsembleSpec, run_ensemble
+from qsmooth.ensemble import EnsembleResult, EnsembleSpec, run_ensemble
 from qsmooth.qmath import ZeroTraceError
 
 
@@ -12,6 +14,26 @@ def params(**kw):
     base = dict(omega=5.0, nbar=0.5, dt=1e-3, t_final=1.0, seed=21)
     base.update(kw)
     return ModelParams(**base)
+
+
+def _zero_filtered_states(monkeypatch, entries):
+    """Zero the filtered state at each (time index, trajectory) entry.
+
+    The sandwich of a zero state is zero, so exactly these entries get a
+    zero smoothed weight, however the statistics are batched.
+    """
+    import qsmooth.ensemble as ens
+    original = ens.filter_batch
+
+    def zeroed(p, ops, traj_indices):
+        outcomes, noise, states, log_weight = original(p, ops, traj_indices)
+        rows = list(traj_indices)
+        for time, traj in entries:
+            if traj in rows:
+                states[rows.index(traj), time] = 0.0
+        return outcomes, noise, states, log_weight
+
+    monkeypatch.setattr(ens, "filter_batch", zeroed)
 
 
 class TestSpecValidation:
@@ -60,22 +82,47 @@ class TestRunEnsemble:
                            chunked.mean_bloch_filtered, atol=1e-13)
 
     def test_zero_smoothed_weight_names_time_and_trajectory(self, monkeypatch):
-        # zero the sandwich of the second row of the second chunk only: the
-        # error must name the global trajectory index, not the row
+        # trajectory 8 is the second row of the second chunk: the error must
+        # name the global trajectory index, not the row
         import qsmooth.ensemble as ens
-        sandwich = smoothing.qubit_sandwich
-
-        def zero_row(r, e):
-            out = sandwich(r, e)
-            if len(r) == 3:
-                out[1] = 0.0
-            return out
-
-        monkeypatch.setattr(smoothing, "qubit_sandwich", zero_row)
+        _zero_filtered_states(monkeypatch, [(50, 8)])
         monkeypatch.setattr(ens, "_CHUNK", 7)
         p = params(t_final=0.05)
-        with pytest.raises(ZeroTraceError, match=r"time index 50, trajectory 8"):
+        with pytest.raises(ZeroTraceError, match=r"time index 50, trajectory 8\b"):
             run_ensemble(EnsembleSpec(params=p, n_traj=10))
+
+    @pytest.mark.parametrize("entries, same_block, expected", [
+        ([(20, 2), (45, 6)], False, "time index 45, trajectory 6"),
+        ([(44, 2), (46, 7), (46, 5)], True, "time index 46, trajectory 5"),
+    ], ids=["different blocks", "one block"])
+    def test_latest_bad_time_then_lowest_trajectory(self, monkeypatch, entries,
+                                                    same_block, expected):
+        # the per-step walk stopped at the latest bad time, and the lowest
+        # trajectory there; statistics in blocks of time steps must agree
+        import qsmooth.ensemble as ens
+        p = params(t_final=0.05)
+        blocks = {(p.n_steps - t) // ens._BLOCK for t, _ in entries}
+        assert (len(blocks) == 1) == same_block
+        _zero_filtered_states(monkeypatch, entries)
+        with pytest.raises(ZeroTraceError, match=expected + r"\b"):
+            run_ensemble(EnsembleSpec(params=p, n_traj=10))
+
+    def test_blocking_invisible(self, monkeypatch):
+        # 251 time points fill no whole number of 7- or default-size blocks,
+        # and 520 trajectories span a full chunk and a remainder
+        import qsmooth.ensemble as ens
+        spec = EnsembleSpec(params=params(t_final=0.25), n_traj=520,
+                            steady_window=(0.1, 0.25))
+        n_times = spec.params.n_steps + 1
+        assert n_times % 7 and n_times % ens._BLOCK and spec.n_traj > ens._CHUNK
+        runs = []
+        for block in (1, 7, ens._BLOCK):
+            monkeypatch.setattr(ens, "_BLOCK", block)
+            runs.append(run_ensemble(spec))
+        for field in dataclasses.fields(EnsembleResult):
+            for other in runs[1:]:
+                assert np.array_equal(getattr(runs[0], field.name),
+                                      getattr(other, field.name)), field.name
 
     def test_standard_error_exact_where_trajectories_agree(self):
         # every trajectory starts in rho0; 640 spans one full chunk and a

@@ -95,7 +95,8 @@ class TestQubitSandwich:
         norm = rho / trace_of(rho).real
         root = qmath.sqrt_psd_stack(norm[None])[0]
         ref = to_vector(mm(root, mm(effect, root)), BASIS)
-        out = qubit_sandwich(to_vector(rho, BASIS)[None], to_vector(effect, BASIS)[None])[0]
+        out = qubit_sandwich(to_vector(rho, BASIS)[:, None],
+                             to_vector(effect, BASIS)[:, None])[:, 0]
         scale = max(1.0, np.abs(effect).max())
         # must hold unconditionally: Tr[sqrt(rho) E sqrt(rho)] = Tr[rho E],
         # and the sandwich is PSD
@@ -115,13 +116,13 @@ class TestQubitSandwich:
     def test_statistics_match_matrix_routines(self, rho):
         norm = rho / trace_of(rho).real
         s = to_vector(norm, BASIS)
-        purity, bloch, low, defect = qubit_statistics(s[None])
+        purity, bloch, low, defect = qubit_statistics(s[:, None])
         assert abs(purity[0] - qmath.purity(norm)) < 1e-12
-        assert np.max(np.abs(bloch[0] - qmath.bloch_vector(norm[None])[0])) < 1e-12
+        assert np.max(np.abs(bloch[:, 0] - qmath.bloch_vector(norm[None])[0])) < 1e-12
         assert abs(low[0] - qmath.min_eigenvalue_stack(norm[None])[0]) < 1e-12
         assert abs(defect[0] - abs(trace_of(norm).real - 1.0)) < 1e-15
         # the trace defect reads the input, it is not zero by construction
-        assert qubit_statistics(1.5 * s[None])[3][0] == pytest.approx(0.5, abs=1e-15)
+        assert qubit_statistics(1.5 * s[:, None])[3][0] == pytest.approx(0.5, abs=1e-15)
 
     def test_batch_member_matches_single(self):
         rng = np.random.default_rng(11)
@@ -129,19 +130,20 @@ class TestQubitSandwich:
         r = to_vector(mm(g, dag(g)), BASIS)
         g = rng.normal(size=(8, 2, 2)) + 1j * rng.normal(size=(8, 2, 2))
         e = to_vector(mm(g, dag(g)), BASIS)
-        wide, one = qubit_sandwich(r, e), qubit_sandwich(r[5:6], e[5:6])
-        assert np.array_equal(wide[5], one[0])
-        s = wide / vector_trace(wide)[:, None]
-        for a, b in zip(qubit_statistics(s), qubit_statistics(s[5:6])):
-            assert np.array_equal(a[5], b[0])
+        wide, one = qubit_sandwich(r.T, e.T), qubit_sandwich(r[5:6].T, e[5:6].T)
+        assert np.array_equal(wide[:, 5], one[:, 0])
+        s = wide / vector_trace(wide.T)
+        for a, b in zip(qubit_statistics(s), qubit_statistics(s[:, 5:6])):
+            assert np.array_equal(a[..., 5], b[..., 0])
 
     def test_ground_against_excited_has_zero_weight(self):
-        out = qubit_sandwich(to_vector(GROUND, BASIS)[None], to_vector(EXCITED, BASIS)[None])
-        assert vector_trace(out)[0] <= 1e-300
+        out = qubit_sandwich(to_vector(GROUND, BASIS)[:, None],
+                             to_vector(EXCITED, BASIS)[:, None])
+        assert vector_trace(out.T)[0] <= 1e-300
         assert np.max(np.abs(out)) <= 1e-300
 
     def test_zero_state_gives_zero_row(self):
-        out = qubit_sandwich(np.zeros((1, 4)), to_vector(np.eye(2), BASIS)[None])
+        out = qubit_sandwich(np.zeros((4, 1)), to_vector(np.eye(2), BASIS)[:, None])
         assert np.all(out == 0.0)
 
 
