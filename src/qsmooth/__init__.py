@@ -23,7 +23,6 @@ from .smoothing import (
     retrofilter,
     smooth_trajectory,
     swv_state,
-    symmetrized_product,
 )
 
 __version__ = "0.1.0"

@@ -46,10 +46,6 @@ class CPMap:
         return float(np.max(np.abs(s - np.eye(self.dim))))
 
 
-def identity_map(dim):
-    return CPMap((np.eye(dim, dtype=complex),))
-
-
 def _check_dim(cpmap, x):
     x = np.asarray(x, dtype=complex)
     if x.shape != (cpmap.dim, cpmap.dim):

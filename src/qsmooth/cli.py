@@ -30,6 +30,7 @@ from .dynamics import (
     InvalidParamsError,
     ModelParams,
     build_step_operators,
+    to_vector,
     unconditional_series,
 )
 from .qmath import NotPSDError, ZeroTraceError
@@ -225,22 +226,18 @@ def cmd_simulate(cfg):
     p = build_params(cfg)
     ops = build_step_operators(p)
     res = smoothing.smooth_trajectory(p, ops=ops)
-    smoothed, pur_f, pur_s = res.smoothed, res.purity_filtered, res.purity_smoothed
+    smoothed = res.smoothed_coords.T
     if "recursive" in cfg["smoothers"]:
-        smoothed = smoothing.petz_fuchs_recursive(res.filtered, res.record, p, ops=ops)
-        pur_s = np.einsum("tij,tji->t", smoothed, smoothed).real
-    uncond = unconditional_series(p)
+        smoothed = to_vector(smoothing.petz_fuchs_recursive(
+            res.filtered, res.record, p, ops=ops), ops.basis).T
+    pur_f, bloch_f, _, _ = smoothing.qubit_statistics(res.filtered_coords.T)
+    pur_s, bloch_s, low, _ = smoothing.qubit_statistics(smoothed)
+    bloch_u = qmath.bloch_vector(unconditional_series(p)).T
 
-    bloch_f = qmath.bloch_vector(res.filtered)
-    bloch_s = qmath.bloch_vector(smoothed)
-    bloch_u = qmath.bloch_vector(uncond)
-
-    header = SIMULATE_HEADER
     extras = []
     if "swv" in cfg["smoothers"]:
-        swv_pur, swv_eig = smoothing.swv_purity_series(res.filtered, res.effects)
-        extras.append(("p_swv", swv_pur))
-        extras.append(("swv_min_eig", swv_eig))
+        extras.extend(zip(("p_swv", "swv_min_eig"), smoothing.swv_purity_series(
+            res.filtered_coords.T, res.effect_coords.T)))
     if "gw" in cfg["smoothers"]:
         gw = smoothing.gw_smooth(res.record, p, cfg["bob_unraveling"],
                                  cfg["n_bob"], seed=p.seed)
@@ -249,24 +246,15 @@ def cmd_simulate(cfg):
                        ("p_gw", np.einsum("tij,tji->t", gw.gw, gw.gw).real),
                        ("p_gw_pf", np.einsum("tij,tji->t", gw.gw_pf, gw.gw_pf).real),
                        ("gw_ess", gw.ess)])
-    if extras:
-        header = header + "," + ",".join(name for name, _ in extras)
+    header = ",".join([SIMULATE_HEADER] + [name for name, _ in extras])
 
-    n = p.n_steps
     outcome_col = np.concatenate([[np.nan], res.record.outcomes])
-    rows = []
-    for i in range(n + 1):
-        row = [res.times[i], outcome_col[i],
-               bloch_f[i, 0], bloch_f[i, 1], bloch_f[i, 2],
-               bloch_s[i, 0], bloch_s[i, 1], bloch_s[i, 2],
-               bloch_u[i, 0], bloch_u[i, 1], bloch_u[i, 2],
-               pur_f[i], pur_s[i]]
-        row.extend(col[i] for _, col in extras)
-        rows.append(row)
+    rows = np.column_stack([res.times, outcome_col, *bloch_f, *bloch_s, *bloch_u,
+                            pur_f, pur_s, *(col for _, col in extras)])
 
     summary = {
         "pairing_rel_spread": checks.pairing_spread(res.log_pairing),
-        "min_smoothed_eigenvalue": float(qmath.min_eigenvalue_stack(smoothed).min()),
+        "min_smoothed_eigenvalue": float(low.min()),
     }
 
     if cfg["format"] == "csv":
@@ -275,9 +263,9 @@ def cmd_simulate(cfg):
         doc = {"config": _json_config(cfg),
                "times": res.times.tolist(),
                "outcome": outcome_col.tolist(),
-               "filtered_bloch": bloch_f.tolist(),
-               "smoothed_bloch": bloch_s.tolist(),
-               "unconditional_bloch": bloch_u.tolist(),
+               "filtered_bloch": bloch_f.T.tolist(),
+               "smoothed_bloch": bloch_s.T.tolist(),
+               "unconditional_bloch": bloch_u.T.tolist(),
                "purity_filtered": pur_f.tolist(),
                "purity_smoothed": pur_s.tolist(),
                "checks": summary}

@@ -31,6 +31,7 @@ from an independent stream derived from (master seed, trajectory index).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -179,6 +180,11 @@ def to_matrix(r, basis):
     for a in range(1, basis.shape[0]):
         out += r[..., a, :, :] * basis[a]
     return out
+
+
+def matrix_property(field):
+    """Cached property: the coordinate rows in `field` as matrices in `basis`."""
+    return functools.cached_property(lambda self: to_matrix(getattr(self, field), self.basis))
 
 
 def vector_trace(r):
@@ -435,23 +441,23 @@ class MeasurementRecord:
 class FilterResult:
     """Forward filtering output along one record.
 
-    `states` are the normalized filtered states on the grid; `log_weight`
-    accumulates the per-step outcome likelihoods, so exp(log_weight[i]) *
-    states[i] is the unnormalized filtered state (for photon counting its
-    trace is the probability of the record so far).
+    `coords` (n+1, d^2) are the normalized filtered states in `basis`, and
+    `states` the same as matrices; `log_weight` accumulates the per-step
+    outcome likelihoods, so exp(log_weight[i]) * states[i] is the
+    unnormalized filtered state (for photon counting its trace is the
+    probability of the record so far).
     """
 
     params: ModelParams
     record: MeasurementRecord
-    states: np.ndarray
+    coords: np.ndarray
     log_weight: np.ndarray
+    basis: np.ndarray
+    states = matrix_property("coords")
 
     @property
     def times(self):
         return self.params.times
-
-    def state_unnormalized(self, i):
-        return np.exp(self.log_weight[i]) * self.states[i]
 
 
 def trajectory_stream(master_seed, index, domain=0):
@@ -515,5 +521,4 @@ def filter_trajectory(p: ModelParams, traj_index=0,
     record = MeasurementRecord(
         unraveling=p.unraveling, dt=p.dt, outcomes=outcomes[0],
         ostensible_noise=None if noise is None else noise[0])
-    return FilterResult(params=p, record=record,
-                        states=to_matrix(states[0], ops.basis), log_weight=logw[0])
+    return FilterResult(p, record, coords=states[0], log_weight=logw[0], basis=ops.basis)

@@ -8,18 +8,13 @@ bit-identical from run to run and independent of how the work is batched.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import qmath, smoothing
-from .dynamics import (
-    ModelParams,
-    build_step_operators,
-    filter_batch,
-    to_vector,
-    vector_trace,
-)
+from .dynamics import ModelParams, build_step_operators, filter_batch
 
 _CHUNK = 512
 _BLOCK = 8  # time steps per batch of statistics in the backward pass
@@ -99,32 +94,21 @@ def run_ensemble(spec: EnsembleSpec) -> EnsembleResult:
         outcomes, _, states, _ = filter_batch(p, ops, idx)
         nb = states.shape[0]
 
-        # Backward pass: effects are pulled back one step at a time into a
-        # coordinate-major buffer of _BLOCK time steps; the filtered and
-        # smoothed statistics then run once per block, over all of its
-        # (time, trajectory) pairs.
+        # Backward pass: the walk's effects go into a coordinate-major
+        # buffer of _BLOCK time steps; the filtered and smoothed statistics
+        # then run once per block, over all of its (time, trajectory) pairs.
         pur = np.empty((2, nb, n + 1))
-        effect = np.broadcast_to(to_vector(np.eye(p.dim), ops.basis),
-                                 states[:, 0].shape).copy()
         buf = np.empty((p.dim ** 2, _BLOCK, nb))
+        walk = smoothing.backward_walk(ops, outcomes)
         for stop in range(n + 1, 0, -_BLOCK):
             first = max(stop - _BLOCK, 0)  # the block holds times first .. stop - 1
-            for s in range(stop - 1, first - 1, -1):
+            for s, effect, _ in itertools.islice(walk, stop - first):
                 buf[:, s - first] = effect.T
-                if s > 0:
-                    effect, _ = smoothing._adjoint_step_batch(ops, outcomes[:, s - 1], effect)
             # (4, time, trajectory) coordinates of the block
             r = np.ascontiguousarray(states[:, first:stop].transpose(2, 1, 0))
             pur_f, bloch_f, _, _ = smoothing.qubit_statistics(r)
-            sm = smoothing.qubit_sandwich(r, buf[:, :stop - first])
-            w = vector_trace(np.moveaxis(sm, 0, -1))
-            bad = w <= 1e-300
-            if np.any(bad):
-                k = int(np.flatnonzero(bad.any(axis=1))[-1])  # latest time first
-                raise qmath.ZeroTraceError(
-                    "record is inconsistent with the filtered state at time index "
-                    f"{first + k}, trajectory {start + int(np.argmax(bad[k]))}")
-            pur_s, bloch_s, low, defect = smoothing.qubit_statistics(sm / w)
+            pur_s, bloch_s, low, defect = smoothing.qubit_statistics(
+                smoothing.petz_fuchs_series(r, buf[:, :stop - first], first, start))
             both = np.stack((pur_f, pur_s))  # (2, time, trajectory)
             pur[:, :, first:stop] = both.transpose(0, 2, 1)
             pur_sum[:, first:stop] += both.sum(axis=2)

@@ -2,7 +2,7 @@
 
 Everything here operates on plain numpy arrays. Functions accept stacked
 inputs of shape (..., d, d) where noted; the spectral routines
-(`hermitian_sqrt`, `pinv_sqrt`, `frac_power`) take a single matrix.
+(`hermitian_sqrt`, `pinv_sqrt`) take a single matrix.
 Eigendecomposition is the canonical spectral routine; `sqrt_psd_stack`
 carries a closed-form 2x2 fast path that is tested against it.
 """
@@ -101,14 +101,6 @@ def pinv_sqrt(m, tol=None):
         tol = SUPPORT_RTOL * (w[-1] if w[-1] > 0 else 1.0)
     inv = np.where(w > tol, 1.0 / np.sqrt(np.maximum(w, tol)), 0.0)
     return (v * inv) @ dag(v)
-
-
-def frac_power(m, alpha):
-    """m**alpha on the support of m (0**alpha := 0), for PSD m."""
-    w, v = _eigh_clamped(m)
-    tol = max(SUPPORT_RTOL, RANK_FLOOR_RTOL) * (w[-1] if w[-1] > 0 else 1.0)
-    p = np.where(w > tol, np.maximum(w, tol) ** alpha, 0.0)
-    return (v * p) @ dag(v)
 
 
 def purity(rho):

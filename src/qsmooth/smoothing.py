@@ -9,9 +9,11 @@ closed form
 
 which is also available as a backward recursion through the Petz recovery
 map of each step (the two agree on the support of the filtered state).
-Alongside it live the smoothed weak-valued state, the symmetrized-product
-family interpolating between the two, and a two-observer estimator that
-mixes "true" states conditioned on a second, unobserved record.
+Alongside it live the smoothed weak-valued state and a two-observer
+estimator that mixes "true" states conditioned on a second, unobserved
+record. Every record path pulls effects back through `backward_walk` and
+smooths on qubit coordinates; `petz_fuchs`, `swv_state` and
+`petz_fuchs_recursive` are the matrix references.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .dynamics import (
     StepOperators,
     build_step_operators,
     filter_trajectory,
+    matrix_property,
     model_operators,
     sample_outcomes,
     stack_products,
@@ -49,15 +52,15 @@ class DegenerateWeightsError(RuntimeError):
 class EffectSeries:
     """Retrofiltered effects on the grid, trace-rescaled for stability.
 
-    effects[i] * exp(log_scale[i]) is the raw pulled-back effect; the
-    rescaling cancels in every normalized smoothed state.
+    `coords` (n+1, d^2) are the effects in `basis`, `effects` the same as
+    matrices. effects[i] * exp(log_scale[i]) is the raw pulled-back effect;
+    the rescaling cancels in every normalized smoothed state.
     """
 
-    effects: np.ndarray
+    coords: np.ndarray
     log_scale: np.ndarray
-
-    def effect_unnormalized(self, i):
-        return np.exp(self.log_scale[i]) * self.effects[i]
+    basis: np.ndarray
+    effects = matrix_property("coords")
 
 
 def _adjoint_step_batch(ops: StepOperators, outcomes_col, effects):
@@ -76,24 +79,27 @@ def _adjoint_step_batch(ops: StepOperators, outcomes_col, effects):
 _adjoint_step = _adjoint_step_batch
 
 
+def backward_walk(ops: StepOperators, outcomes):
+    """(s, effects (N, d^2), scale (N,)) for s = n, ..., 0 along the records
+    `outcomes` (N, n): E(T) = identity, then one `_adjoint_step_batch` per
+    step, with `scale` the factor that step divided out."""
+    n = outcomes.shape[1]
+    e = np.broadcast_to(to_vector(np.eye(ops.dim), ops.basis), (len(outcomes), ops.dim ** 2))
+    yield n, e, np.ones(len(outcomes))
+    for s in range(n - 1, -1, -1):
+        e, scale = _adjoint_step_batch(ops, outcomes[:, s], e)
+        yield s, e, scale
+
+
 def retrofilter(record: MeasurementRecord, p: ModelParams,
                 ops: StepOperators | None = None) -> EffectSeries:
-    """Retrofiltered effects along a record, E(T) = identity.
-
-    Every step's trace rescaling is folded into a separately accumulated
-    log scale.
-    """
+    """Retrofiltered effects along a record: the width-1 `backward_walk`,
+    with the steps' trace rescalings accumulated into a log scale."""
     ops = build_step_operators(p) if ops is None else ops
-    n = len(record)
-    outcomes = np.asarray(record.outcomes, dtype=float)
-    effects = np.empty((n + 1, ops.dim ** 2))
-    log_scale = np.zeros(n + 1)
-    effects[n] = to_vector(np.eye(ops.dim), ops.basis)
-    for s in range(n - 1, -1, -1):
-        e, scale = _adjoint_step_batch(ops, outcomes[s:s + 1], effects[s + 1:s + 2])
-        effects[s] = e[0]
-        log_scale[s] = log_scale[s + 1] + np.log(scale[0])
-    return EffectSeries(effects=to_matrix(effects, ops.basis), log_scale=log_scale)
+    walk = list(backward_walk(ops, np.asarray(record.outcomes, dtype=float)[None]))
+    log_scale = np.cumsum([np.log(scale[0]) for _, _, scale in walk])[::-1]
+    return EffectSeries(coords=np.array([e[0] for _, e, _ in walk[::-1]]),
+                        log_scale=log_scale, basis=ops.basis)
 
 
 # -- smoothed-state estimators ----------------------------------------------
@@ -162,18 +168,19 @@ def qubit_statistics(s):
             (s[0] - np.sqrt(vec2)) / _SQRT2, np.abs(_SQRT2 * s[0] - 1.0))
 
 
-def petz_fuchs_series(filtered_states, effects):
-    """Closed-form smoothed states over a whole grid, shape (T, d, d)."""
-    states = np.asarray(filtered_states, dtype=complex)
-    tr = np.einsum("tii->t", states).real
-    roots = qmath.sqrt_psd_stack(states / tr[:, None, None])
-    out = np.einsum("tij,tjk,tkl->til", roots, np.asarray(effects, dtype=complex), roots)
-    w = np.einsum("tii->t", out).real
-    if np.any(w <= 1e-300):
-        idx = int(np.argmax(w <= 1e-300))
-        raise ZeroTraceError(
-            f"record is inconsistent with the filtered state at time index {idx}")
-    return out / w[:, None, None]
+def petz_fuchs_series(r, e, time0=0, traj0=0):
+    """Normalized sqrt(rho) E sqrt(rho) per column of qubit coordinates r
+    and e, (4, T) or (4, T, N). A (near-)zero weight raises ZeroTraceError
+    naming the latest such time and its lowest trajectory, from time0, traj0.
+    """
+    sm = qubit_sandwich(r, e)
+    w = _SQRT2 * sm[0]  # Tr[rho E]
+    bad = w <= 1e-300
+    if np.any(bad):
+        k = int(np.flatnonzero(bad.reshape(len(bad), -1).any(axis=1))[-1])
+        raise ZeroTraceError("record is inconsistent with the filtered state at time "
+                             f"index {time0 + k}, trajectory {traj0 + int(np.argmax(bad[k]))}")
+    return sm / w
 
 
 def petz_fuchs_recursive(filtered_states, record: MeasurementRecord,
@@ -182,8 +189,8 @@ def petz_fuchs_recursive(filtered_states, record: MeasurementRecord,
 
     Each step recovers the next smoothed state through the one-step
     conditional map with the stored filtered state as reference prior; the
-    forward series is never re-simulated. Agrees with `petz_fuchs_series`
-    on the support of the filtered state.
+    forward series is never re-simulated. Agrees with the closed form on
+    the support of the filtered state.
     """
     ops = build_step_operators(p) if ops is None else ops
     states = np.asarray(filtered_states, dtype=complex)
@@ -223,56 +230,41 @@ def swv_state(filtered, effect):
     return SwvOutcome(state=state, min_eigenvalue=qmath.min_eigenvalue(state))
 
 
-def symmetrized_product(filtered, effect, alpha):
-    """(rho^a E rho^(1-a) + rho^(1-a) E rho^a) / (2 Tr[rho E]), a in [1/2, 1].
-
-    alpha = 1/2 reproduces the Petz-Fuchs state, alpha = 1 the smoothed
-    weak-valued state. Fractional powers are taken on the support.
-    """
-    if not (0.5 <= alpha <= 1.0):
-        raise ValueError(f"alpha must lie in [1/2, 1], got {alpha}")
-    rho = np.asarray(filtered, dtype=complex)
-    t = trace_of(rho).real
-    if t <= 1e-300:
-        raise ZeroTraceError("filtered state has (near-)zero trace")
-    rho = rho / t
-    e = np.asarray(effect, dtype=complex)
-    tr = trace_of(mm(rho, e)).real
-    if tr <= 1e-300:
-        raise ZeroTraceError("Tr[rho E] vanishes")
-    pa = qmath.frac_power(rho, alpha)
-    pb = qmath.frac_power(rho, 1.0 - alpha)
-    out = (mm(pa, mm(e, pb)) + mm(pb, mm(e, pa))) / (2.0 * tr)
-    return out
-
-
-def swv_purity_series(filtered_states, effects):
-    """Purity and minimum eigenvalue of the SWV state over a grid."""
-    rho = np.asarray(filtered_states, dtype=complex)
-    e = np.asarray(effects, dtype=complex)
-    re = np.einsum("tij,tjk->tik", rho, e)
-    tr = np.einsum("tii->t", re).real
-    swv = (re + np.conj(np.swapaxes(re, -1, -2))) / (2.0 * tr[:, None, None])
-    pur = np.einsum("tij,tji->t", swv, swv).real
-    return pur, qmath.min_eigenvalue_stack(swv)
+def swv_purity_series(r, e):
+    """Purity and smallest eigenvalue of the SWV state (rho E + E rho) /
+    (2 Tr[rho E]) per column of qubit coordinates r and e (4, ...). The
+    Jordan product of rho = (r0 + r.sigma) / sqrt(2) and E = (e0 + e.sigma)
+    / sqrt(2) has coordinates (1/sqrt(2), (r0 e + e0 r) / (sqrt(2) Tr[rho E])),
+    with Tr[rho E] = sum_a r_a e_a."""
+    tr = r[0] * e[0] + _dot3(r[1:], e[1:])
+    s = np.empty(np.broadcast_shapes(r.shape, e.shape))
+    s[0], s[1:] = 1.0 / _SQRT2, (r[0] * e[1:] + e[0] * r[1:]) / (_SQRT2 * tr)
+    purity, _, low, _ = qubit_statistics(s)
+    return purity, low
 
 
 # -- one-record driver --------------------------------------------------------
 
 @dataclass(eq=False)
 class SmoothingResult:
-    """Forward filtering plus backward smoothing along one record."""
+    """Forward filtering plus backward smoothing along one record. The
+    `*_coords` series are (n+1, d^2) coordinates in `basis`; `filtered`,
+    `effects` and `smoothed` give them as matrices."""
 
     params: ModelParams
     record: MeasurementRecord
     times: np.ndarray
-    filtered: np.ndarray
+    basis: np.ndarray
+    filtered_coords: np.ndarray
     log_weight: np.ndarray
-    effects: np.ndarray
+    effect_coords: np.ndarray
     effect_log_scale: np.ndarray
-    smoothed: np.ndarray
+    smoothed_coords: np.ndarray
     purity_filtered: np.ndarray
     purity_smoothed: np.ndarray
+    filtered = matrix_property("filtered_coords")
+    effects = matrix_property("effect_coords")
+    smoothed = matrix_property("smoothed_coords")
 
     @property
     def log_pairing(self):
@@ -280,8 +272,8 @@ class SmoothingResult:
 
         Constant along the record up to round-off.
         """
-        tr = np.einsum("tij,tji->t", self.effects, self.filtered).real
-        return np.log(tr) + self.log_weight + self.effect_log_scale
+        w = np.sum(self.effect_coords * self.filtered_coords, axis=1)
+        return np.log(w) + self.log_weight + self.effect_log_scale
 
 
 def smooth_trajectory(p: ModelParams, traj_index=0,
@@ -290,14 +282,13 @@ def smooth_trajectory(p: ModelParams, traj_index=0,
     ops = build_step_operators(p) if ops is None else ops
     fr = filter_trajectory(p, traj_index, ops=ops)
     eff = retrofilter(fr.record, p, ops=ops)
-    smoothed = petz_fuchs_series(fr.states, eff.effects)
-    pur_f = np.einsum("tij,tji->t", fr.states, fr.states).real
-    pur_s = np.einsum("tij,tji->t", smoothed, smoothed).real
+    smoothed = petz_fuchs_series(fr.coords.T, eff.coords.T, traj0=traj_index)
     return SmoothingResult(
-        params=p, record=fr.record, times=fr.times, filtered=fr.states,
-        log_weight=fr.log_weight, effects=eff.effects,
-        effect_log_scale=eff.log_scale, smoothed=smoothed,
-        purity_filtered=pur_f, purity_smoothed=pur_s)
+        params=p, record=fr.record, times=fr.times, basis=ops.basis,
+        filtered_coords=fr.coords, log_weight=fr.log_weight,
+        effect_coords=eff.coords, effect_log_scale=eff.log_scale, smoothed_coords=smoothed.T,
+        purity_filtered=qubit_statistics(fr.coords.T)[0],
+        purity_smoothed=qubit_statistics(smoothed)[0])
 
 
 # -- two-observer (true state) estimators ------------------------------------
@@ -346,15 +337,14 @@ class GwResult:
     n_bob: int
 
 
-def _combine_true_states(true_states, log_v, effects, basis):
+def _combine_true_states(true_states, log_v, effect_vectors, basis):
     """Self-normalized mixtures of true states against the effects.
 
-    true_states: (N, T, 4) normalized qubit states, as coordinates in
-    `basis`; log_v: (N, T) log importance weights; effects: (T, 2, 2).
-    Returns (gw, gw_pf, ess).
+    true_states: (N, T, 4) normalized qubit states and effect_vectors:
+    (T, 4) effects, both as coordinates in `basis`; log_v: (N, T) log
+    importance weights. Returns (gw, gw_pf, ess).
     """
     n_t = true_states.shape[1]
-    effect_vectors = to_vector(effects, basis)
     gw, gw_pf = np.empty((2, n_t, 4))
     ess = np.empty(n_t)
     for t in range(n_t):
@@ -422,7 +412,7 @@ def gw_smooth(record: MeasurementRecord, p: ModelParams, bob_unraveling,
         r = r / tr[:, None]
         true_states[:, s + 1] = r
 
-    gw, gw_pf, ess = _combine_true_states(true_states, log_v, eff.effects, ops.basis)
+    gw, gw_pf, ess = _combine_true_states(true_states, log_v, eff.coords, ops.basis)
     if np.min(ess) < 2.0:
         raise DegenerateWeightsError(
             f"effective sample size {np.min(ess):.2f} < 2 "
@@ -465,7 +455,7 @@ def gw_enumerate(record: MeasurementRecord, p: ModelParams,
     branches = np.stack([per_time[t][leaves >> (n - t)] for t in range(n + 1)], axis=1)
     traces = vector_trace(branches)
     gw, gw_pf, _ = _combine_true_states(
-        branches / traces[..., None], np.log(traces), eff.effects, ops.basis)
+        branches / traces[..., None], np.log(traces), eff.coords, ops.basis)
     ess = np.full(n + 1, np.nan)
     return GwResult(times=p.times, gw=gw, gw_pf=gw_pf, ess=ess,
                     n_bob=2 ** n), filtered

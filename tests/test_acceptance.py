@@ -19,8 +19,6 @@ from qsmooth.dynamics import (
     build_step_operators,
     filter_batch,
     filter_trajectory,
-    to_matrix,
-    to_vector,
 )
 from qsmooth.ensemble import EnsembleSpec, run_ensemble
 
@@ -141,16 +139,11 @@ def test_criterion_8_swv_unphysical_and_identity():
     outcomes, _, states, _ = filter_batch(p, ops, range(240))
     with_click = np.nonzero((outcomes >= 0.5).any(axis=1))[0][:200]
     assert len(with_click) == 200
-    outcomes = outcomes[with_click]
     states = states[with_click]
-    effect = np.broadcast_to(to_vector(np.eye(2), ops.basis), states[:, 0].shape).copy()
     max_swv_purity = 0.0
-    for s in range(p.n_steps, -1, -1):
-        pur, _ = smoothing.swv_purity_series(to_matrix(states[:, s], ops.basis),
-                                             to_matrix(effect, ops.basis))
+    for s, effect, _ in smoothing.backward_walk(ops, outcomes[with_click]):
+        pur, _ = smoothing.swv_purity_series(states[:, s].T, effect.T)
         max_swv_purity = max(max_swv_purity, float(pur.max()))
-        if s > 0:
-            effect, _ = smoothing._adjoint_step_batch(ops, outcomes[:, s - 1], effect)
     unphysical = max_swv_purity > 1.0 + 1e-6
 
     # part (b): the double-commutator relation to the closed form

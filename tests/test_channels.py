@@ -3,9 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsmooth import channels, qmath
+from qsmooth import qmath
 from qsmooth.channels import CPMap, DimMismatchError, adjoint_apply, apply, compose, petz_recover
 from qsmooth.qmath import EXCITED, GROUND, SIGMA_MINUS, dag, mm, trace_of
+
+
+def identity_map(dim):
+    return CPMap((np.eye(dim, dtype=complex),))
 
 
 def _rng_matrix(rng, d=2):
@@ -46,7 +50,7 @@ def random_unitary(rng, d=2):
 class TestApply:
     def test_identity_kraus(self):
         rho = random_state(np.random.default_rng(0))
-        out = apply(channels.identity_map(2), rho)
+        out = apply(identity_map(2), rho)
         assert np.allclose(out, rho)
 
     def test_sigma_minus_decays_excited(self):
@@ -62,7 +66,7 @@ class TestApply:
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatchError):
-            apply(channels.identity_map(2), np.eye(3, dtype=complex))
+            apply(identity_map(2), np.eye(3, dtype=complex))
 
 
 class TestAdjoint:
@@ -89,7 +93,7 @@ class TestCompose:
         rng = np.random.default_rng(4)
         m = random_cpmap(rng)
         rho = random_state(rng)
-        both = compose(channels.identity_map(2), m)
+        both = compose(identity_map(2), m)
         assert np.allclose(apply(both, rho), apply(m, rho))
 
     def test_unitary_product(self):
@@ -124,7 +128,7 @@ class TestPetzRecover:
         rng = np.random.default_rng(8)
         gamma = random_state(rng, full_rank=True)
         x = random_state(rng)
-        out = petz_recover(channels.identity_map(2), gamma, x)
+        out = petz_recover(identity_map(2), gamma, x)
         assert np.max(np.abs(out - x)) < 1e-10
 
     def test_fixed_point(self):

@@ -340,10 +340,16 @@ class TestFilterTrajectory:
             assert np.max(np.abs(traces - 1.0)) < 1e-12
 
     def test_unnormalized_view(self):
+        # exp(log_weight) * states is the plain, unnormalized Kraus
+        # propagation of rho0 along the record
         p = params(dt=1e-2, t_final=0.2, seed=3)
-        fr = filter_trajectory(p)
-        w = np.exp(fr.log_weight[-1])
-        assert np.allclose(fr.state_unnormalized(p.n_steps), w * fr.states[-1])
+        ops = build_step_operators(p)
+        fr = filter_trajectory(p, ops=ops)
+        raw = np.asarray(p.rho0)
+        for s, y in enumerate(fr.record.outcomes):
+            raw = channels.apply(ops.conditional_map(y), raw)
+            unnormalized = np.exp(fr.log_weight[s + 1]) * fr.states[s + 1]
+            assert np.max(np.abs(unnormalized - raw)) / np.abs(raw).max() < 1e-12
 
     def test_distinct_streams(self):
         s0 = trajectory_stream(0, 0).random(4)

@@ -116,8 +116,7 @@ class TestMonteCarlo:
         # trajectory coincides with the (pure) filtered one.
         p = params(nbar=0.0, t_final=0.2, seed=7)
         fr = filter_trajectory(p)
-        eff = smoothing.retrofilter(fr.record, p)
-        single = smoothing.petz_fuchs_series(fr.states, eff.effects)
+        single = smoothing.smooth_trajectory(p).smoothed
         res = gw_smooth(fr.record, p, "jump", n_bob=16, seed=1)
         assert np.max(np.abs(res.gw - single)) < 1e-9
         assert np.max(np.abs(res.gw_pf - single)) < 1e-9

@@ -42,6 +42,9 @@ def test_smoothing_invariants(p):
     assert qmath.min_eigenvalue_stack(res.smoothed).min() >= -1e-10
     assert np.max(np.abs(np.einsum("tii->t", res.smoothed).real - 1.0)) <= 1e-12
     assert np.max(np.abs(res.smoothed[-1] - res.filtered[-1])) <= 1e-12
+    # one record and a batch of one take the same route, bit for bit
     ens = run_ensemble(EnsembleSpec(params=p, n_traj=1))
-    assert np.max(np.abs(ens.avg_purity_filtered - res.purity_filtered)) <= 1e-12
-    assert np.max(np.abs(ens.avg_purity_smoothed - res.purity_smoothed)) <= 1e-12
+    assert np.array_equal(ens.avg_purity_filtered, res.purity_filtered)
+    assert np.array_equal(ens.avg_purity_smoothed, res.purity_smoothed)
+    assert np.array_equal(ens.mean_bloch_filtered, np.sqrt(2.0) * res.filtered_coords[:, 1:])
+    assert np.array_equal(ens.mean_bloch_smoothed, np.sqrt(2.0) * res.smoothed_coords[:, 1:])

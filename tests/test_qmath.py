@@ -194,12 +194,3 @@ class TestBloch:
         with pytest.raises(ValueError):
             qmath.bloch_state(1.0, 1.0, 0.0)
 
-
-class TestFracPower:
-    def test_half_is_sqrt(self):
-        m = np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)
-        assert np.max(np.abs(qmath.frac_power(m, 0.5) - hermitian_sqrt(m))) < 1e-12
-
-    def test_power_one(self):
-        m = np.diag([3.0, 0.0]).astype(complex)
-        assert np.max(np.abs(qmath.frac_power(m, 1.0) - m)) < 1e-12

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qsmooth import channels, classical, qmath, smoothing
@@ -21,8 +21,8 @@ from qsmooth.smoothing import (
     qubit_statistics,
     retrofilter,
     smooth_trajectory,
+    swv_purity_series,
     swv_state,
-    symmetrized_product,
 )
 
 EPS = np.finfo(float).eps
@@ -147,6 +147,44 @@ class TestQubitSandwich:
         assert np.all(out == 0.0)
 
 
+class TestCoordinateSeries:
+    @given(qubit_states(), qubit_effects(), st.one_of(st.none(), st.floats(1e-7, 1e-1)))
+    @settings(max_examples=300, deadline=None)
+    @example(NEAR_RANK_ONE, np.eye(2, dtype=complex), 1e-6)
+    def test_swv_matches_matrix_route(self, rho, effect, small):
+        if small is not None:
+            # the projector on rho's smaller eigenvector plus a little of
+            # the drawn effect: Tr[rho E] is small for near-pure rho
+            v = np.linalg.eigh(rho)[1][:, 0]
+            effect = np.outer(v, v.conj()) + small * effect
+        tr = trace_of(mm(rho, effect)).real
+        kappa = np.linalg.norm(rho) * np.linalg.norm(effect) / tr if tr > 0 else np.inf
+        assume(kappa < 1e9)
+        ref = swv_state(rho, effect)
+        ref_purity = trace_of(mm(ref.state, ref.state)).real
+        purity, low = swv_purity_series(to_vector(rho, BASIS)[:, None],
+                                        to_vector(effect, BASIS)[:, None])
+        # Both routes divide by Tr[rho E], whose relative rounding error is
+        # a few eps times kappa = |rho| |E| / Tr[rho E], and the purity goes
+        # as its inverse square: 1e-12 up to kappa = 100, then growing with it
+        tol = 1e-12 * max(1.0, 1e-2 * kappa)
+        assert abs(purity[0] - ref_purity) <= tol * max(1.0, ref_purity)
+        assert abs(low[0] - ref.min_eigenvalue) <= tol * max(1.0, abs(ref.min_eigenvalue))
+
+    def test_zero_weight_names_time_index(self):
+        r = np.repeat(to_vector(GROUND, BASIS)[:, None], 6, axis=1)
+        e = np.repeat(to_vector(np.eye(2), BASIS)[:, None], 6, axis=1)
+        e[:, 3] = to_vector(EXCITED, BASIS)
+        with pytest.raises(ZeroTraceError, match=r"time index 3, trajectory 0\b"):
+            petz_fuchs_series(r, e)
+        with pytest.raises(ZeroTraceError, match=r"time index 13, trajectory 7\b"):
+            petz_fuchs_series(r, e, time0=10, traj0=7)
+        # every other column smooths to the ground state
+        keep = [0, 1, 2, 4, 5]
+        out = petz_fuchs_series(r[:, keep], e[:, keep])
+        assert np.max(np.abs(out - r[:, keep])) < 1e-15
+
+
 class TestRetrofilter:
     def test_final_effect_is_identity(self):
         p = params(t_final=0.2)
@@ -181,7 +219,8 @@ class TestRetrofilter:
                 fmap = ops.conditional_map(fr.record.outcomes[i])
                 raw = channels.adjoint_apply(fmap, raw)
                 assert eff.log_scale[i] != 0.0
-                dev = np.max(np.abs(eff.effect_unnormalized(i) - raw)) / np.abs(raw).max()
+                unnormalized = np.exp(eff.log_scale[i]) * eff.effects[i]
+                dev = np.max(np.abs(unnormalized - raw)) / np.abs(raw).max()
                 assert dev < 1e-12
 
     def test_backward_batch_member_matches_single(self):
@@ -254,20 +293,16 @@ class TestPetzFuchs:
 class TestRecursion:
     def test_single_step_equals_closed_form(self):
         p = params(dt=1e-2, t_final=1e-2, seed=2)
-        fr = filter_trajectory(p)
-        eff = retrofilter(fr.record, p)
-        closed = petz_fuchs_series(fr.states, eff.effects)
-        rec = petz_fuchs_recursive(fr.states, fr.record, p)
-        assert np.max(np.abs(closed - rec)) < 1e-12
+        res = smooth_trajectory(p)
+        rec = petz_fuchs_recursive(res.filtered, res.record, p)
+        assert np.max(np.abs(res.smoothed - rec)) < 1e-12
 
     @pytest.mark.parametrize("unraveling", ["jump", "homodyne_x"])
     def test_ten_step_record(self, unraveling):
         p = params(unraveling=unraveling, dt=1e-2, t_final=0.1, seed=8)
-        fr = filter_trajectory(p)
-        eff = retrofilter(fr.record, p)
-        closed = petz_fuchs_series(fr.states, eff.effects)
-        rec = petz_fuchs_recursive(fr.states, fr.record, p)
-        assert np.max(np.abs(closed - rec)) < 1e-8
+        res = smooth_trajectory(p)
+        rec = petz_fuchs_recursive(res.filtered, res.record, p)
+        assert np.max(np.abs(res.smoothed - rec)) < 1e-8
 
     def test_pure_reversible_segment(self):
         # nbar = 0 keeps every filtered state pure; smoothing cannot
@@ -280,11 +315,9 @@ class TestRecursion:
     def test_full_length_record(self):
         # the full default horizon, including effect rescalings
         p = params(t_final=7.5, seed=12)
-        fr = filter_trajectory(p)
-        eff = retrofilter(fr.record, p)
-        closed = petz_fuchs_series(fr.states, eff.effects)
-        rec = petz_fuchs_recursive(fr.states, fr.record, p)
-        assert np.max(np.abs(closed - rec)) < 1e-8
+        res = smooth_trajectory(p)
+        rec = petz_fuchs_recursive(res.filtered, res.record, p)
+        assert np.max(np.abs(res.smoothed - rec)) < 1e-8
 
 
 class TestSwv:
@@ -318,32 +351,6 @@ class TestSwv:
         assert trace_of(out.state).real == pytest.approx(1.0, abs=1e-12)
         assert out.min_eigenvalue == pytest.approx(
             qmath.min_eigenvalue(out.state), abs=1e-12)
-
-
-class TestSymmetrizedProduct:
-    def test_half_is_petz_fuchs(self):
-        rng = np.random.default_rng(6)
-        rho, e = random_state(rng), random_effect(rng)
-        out = symmetrized_product(rho, e, 0.5)
-        assert np.max(np.abs(out - petz_fuchs(rho, e))) < 1e-12
-
-    def test_one_is_swv(self):
-        rng = np.random.default_rng(7)
-        rho, e = random_state(rng), random_effect(rng)
-        out = symmetrized_product(rho, e, 1.0)
-        assert np.max(np.abs(out - swv_state(rho, e).state)) < 1e-12
-
-    def test_commuting_inputs_alpha_independent(self):
-        rho = np.diag([0.25, 0.75]).astype(complex)
-        e = np.diag([0.4, 0.9]).astype(complex)
-        outs = [symmetrized_product(rho, e, a) for a in (0.5, 0.7, 1.0)]
-        for out in outs[1:]:
-            assert np.max(np.abs(out - outs[0])) < 1e-12
-
-    def test_rejects_alpha_outside_range(self):
-        rng = np.random.default_rng(8)
-        with pytest.raises(ValueError):
-            symmetrized_product(random_state(rng), random_effect(rng), 0.3)
 
 
 class TestSmoothTrajectory:
@@ -392,8 +399,6 @@ class TestThreeLevelSupport:
         assert out.shape == (3, 3)
         assert trace_of(out).real == pytest.approx(1.0, abs=1e-12)
         assert qmath.min_eigenvalue(out) >= -1e-10
-        sym = symmetrized_product(rho, eff, 0.7)
-        assert trace_of(sym).real == pytest.approx(1.0, abs=1e-10)
 
 
 class TestNonUnitEfficiency:
