@@ -15,16 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import channels, classical, qmath, smoothing
-from .dynamics import (
-    UNRAVELINGS,
-    ModelParams,
-    build_step_operators,
-    filter_trajectory,
-    stack_products,
-    to_matrix,
-    to_vector,
-    vector_trace,
-)
+from .dynamics import (UNRAVELINGS, ModelParams, build_step_operators, filter_trajectory,
+                       to_matrix)
 from .qmath import dag, mm, trace_of
 
 
@@ -47,37 +39,36 @@ def random_channel(rng):
     return channels.CPMap(tuple(mm(k, root) for k in ks))
 
 
-def future_enumeration(p: ModelParams, past_steps=5, future_steps=6, effect_scale=1.0):
+def future_enumeration(p: ModelParams, past_steps=5, future_steps=6):
     """Criterion 1: smoothed states averaged over every future give back
     the filtered state.
 
-    Runs `past_steps` of a seeded photon-counting record, enumerates all
-    2**future_steps continuations, and compares sum_f p(f | past) rho_S(t)
-    with the filtered state at t entrywise. The terminal effect is
-    `effect_scale` times the identity; the defect is invariant under that
-    scale.
+    Runs `past_steps` of a seeded photon-counting record, walks all
+    2**future_steps continuations back as one batch of records, and compares
+    sum_f p(f | past) rho_S(t) with the filtered state at t entrywise. The
+    weight p(f | past) = Tr[rho_F E_f] is the walk's product of scales
+    times the pairing of the coordinates.
     """
     if p.unraveling != "jump":
         raise ValueError("future enumeration is defined for the jump unraveling")
     if future_steps < 0 or future_steps > 16:
         raise ValueError("future_steps must lie in [0, 16]")
-    ops = build_step_operators(p)
+    ops = build_step_operators(p)  # shared with `past`: they do not depend on t_final
     past = p.replace(t_final=max(past_steps, 1) * p.dt)
-    fr = filter_trajectory(past, ops=ops)  # step operators do not depend on t_final
-    rho_f = fr.states[past_steps] if past_steps > 0 else np.asarray(p.rho0)
+    r = filter_trajectory(past, ops=ops).coords[past_steps]  # coords[0] is rho0
 
     futures = np.array(list(np.ndindex(*([2] * future_steps))), dtype=float)
-    r = np.broadcast_to(to_vector(rho_f, ops.basis), (len(futures), p.dim ** 2))
-    e = effect_scale * np.broadcast_to(to_vector(np.eye(p.dim), ops.basis), r.shape)
-    for j in range(future_steps):
-        r = ops.combine(stack_products(ops.forward, r), futures[:, j])
-        e = ops.combine(stack_products(ops.backward, e), futures[:, future_steps - 1 - j])
-    weights = vector_trace(r)  # p(future | past); the futures sum to 1
-    acc = np.zeros((p.dim, p.dim), dtype=complex)
-    for w, effect in zip(weights, to_matrix(e, ops.basis)):
-        if w > 0.0:
-            acc += w * smoothing.petz_fuchs(rho_f, effect)
-    return float(np.max(np.abs(acc - rho_f))), 1e-10
+    weights = np.ones(len(futures))
+    for _, e, scale in smoothing.backward_walk(ops, futures):
+        weights *= scale
+    weights *= e @ r  # p(future | past); the futures sum to 1
+    # Below round-off a probability is 0 to the walk (its scales may even come
+    # out negative); dropping those moves the mixture by < 2**16 eps = 1.5e-11.
+    live = weights > np.finfo(float).eps
+    smoothed = smoothing.petz_fuchs_series(
+        np.repeat(r[:, None], np.count_nonzero(live), axis=1), e[live].T)
+    mixture = to_matrix(smoothed @ weights[live], ops.basis)
+    return float(np.max(np.abs(mixture - to_matrix(r, ops.basis)))), 1e-10
 
 
 def closed_vs_recursive(p: ModelParams):

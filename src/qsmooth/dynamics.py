@@ -471,6 +471,17 @@ def trajectory_stream(master_seed, index, domain=0):
     return np.random.Generator(np.random.PCG64(ss))
 
 
+def draw_noise(master_seed, indices, n, unraveling, dt, domain=0):
+    """(N, n) per-step draws, row i from stream (master_seed, indices[i]):
+    uniforms for photon counting, N(0, dt) ostensible noise for homodyne."""
+    noise = np.empty((len(indices), n))
+    for row, i in enumerate(indices):
+        rng = trajectory_stream(master_seed, i, domain)
+        noise[row] = rng.random(n) if unraveling == "jump" \
+            else rng.normal(0.0, np.sqrt(dt), size=n)
+    return noise
+
+
 def filter_batch(p: ModelParams, ops: StepOperators, traj_indices):
     """Filter a batch of trajectories in lockstep.
 
@@ -483,12 +494,7 @@ def filter_batch(p: ModelParams, ops: StepOperators, traj_indices):
     n = p.n_steps
     idx = list(traj_indices)
     nb = len(idx)
-    noise = np.empty((nb, n))
-    for row, i in enumerate(idx):
-        rng = trajectory_stream(p.seed, i)
-        noise[row] = rng.normal(0.0, np.sqrt(p.dt), size=n) if p.is_homodyne \
-            else rng.random(n)
-
+    noise = draw_noise(p.seed, idx, n, p.unraveling, p.dt)
     states = np.empty((nb, n + 1, p.dim ** 2))
     log_weight = np.zeros((nb, n + 1))
     outcomes = np.empty((nb, n))

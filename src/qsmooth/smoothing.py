@@ -28,6 +28,7 @@ from .dynamics import (
     ModelParams,
     StepOperators,
     build_step_operators,
+    draw_noise,
     filter_trajectory,
     matrix_property,
     model_operators,
@@ -35,7 +36,6 @@ from .dynamics import (
     stack_products,
     to_matrix,
     to_vector,
-    trajectory_stream,
     vector_trace,
 )
 from .qmath import ZeroTraceError, mm, trace_of
@@ -68,11 +68,12 @@ def _adjoint_step_batch(ops: StepOperators, outcomes_col, effects):
 
     `effects` are coordinate vectors (N, d^2). Each result is rescaled to
     the identity's trace, Tr E = d, so records of any length stay inside
-    floating-point range; returns (effects, the factors divided out).
+    floating-point range; returns (effects, the factors divided out). A zero
+    F_y^dag[E] (no state can produce y, e.g. a click at eta = 0) stays zero.
     """
     e = ops.combine(stack_products(ops.backward, effects), outcomes_col)
     scale = vector_trace(e) / ops.dim
-    return e / scale[:, None], scale
+    return e / (scale + (scale == 0.0))[:, None], scale  # a zero effect is divided by 1
 
 
 # perfbench/spans.py traces the backward step under this name as well
@@ -94,9 +95,14 @@ def backward_walk(ops: StepOperators, outcomes):
 def retrofilter(record: MeasurementRecord, p: ModelParams,
                 ops: StepOperators | None = None) -> EffectSeries:
     """Retrofiltered effects along a record: the width-1 `backward_walk`,
-    with the steps' trace rescalings accumulated into a log scale."""
+    with the steps' trace rescalings accumulated into a log scale. Raises
+    ZeroTraceError naming the latest time index from which no state can
+    produce the rest of the record."""
     ops = build_step_operators(p) if ops is None else ops
     walk = list(backward_walk(ops, np.asarray(record.outcomes, dtype=float)[None]))
+    dead = [s for s, _, scale in walk if not scale[0] > 0.0]  # latest first
+    if dead:
+        raise ZeroTraceError(f"no state at time index {dead[0]} can produce the record")
     log_scale = np.cumsum([np.log(scale[0]) for _, _, scale in walk])[::-1]
     return EffectSeries(coords=np.array([e[0] for _, e, _ in walk[::-1]]),
                         log_scale=log_scale, basis=ops.basis)
@@ -384,12 +390,7 @@ def gw_smooth(record: MeasurementRecord, p: ModelParams, bob_unraveling,
     eff = retrofilter(record, p, ops=ops)
     n = len(record)
 
-    noise = np.empty((n_bob, n))
-    for i in range(n_bob):
-        rng = trajectory_stream(seed, i, domain=1)
-        noise[i] = rng.random(n) if bob.unraveling == "jump" \
-            else rng.normal(0.0, np.sqrt(p.dt), size=n)
-
+    noise = draw_noise(seed, range(n_bob), n, bob.unraveling, p.dt, domain=1)
     r = np.broadcast_to(to_vector(p.rho0, ops.basis), (n_bob, ops.dim ** 2)).copy()
     log_v = np.zeros((n_bob, n + 1))
     true_states = np.empty((n_bob, n + 1, ops.dim ** 2))
@@ -420,16 +421,14 @@ def gw_smooth(record: MeasurementRecord, p: ModelParams, bob_unraveling,
     return GwResult(times=p.times, gw=gw, gw_pf=gw_pf, ess=ess, n_bob=n_bob)
 
 
-def gw_enumerate(record: MeasurementRecord, p: ModelParams,
-                 bob_unraveling="jump"):
-    """Exact two-observer smoothing by enumerating every unobserved record.
+def gw_enumerate(record: MeasurementRecord, p: ModelParams):
+    """Exact two-observer smoothing by enumerating every unobserved
+    photon-counting record of the second observer.
 
     Exponential in the record length; intended for short horizons. Returns
     (GwResult, alice_filtered) where alice_filtered is the sum of
     unnormalized true states (it must reproduce the filtered state).
     """
-    if bob_unraveling != "jump":
-        raise ValueError("enumeration requires the photon-counting unraveling")
     if len(record) != p.n_steps:
         raise ValueError(
             f"record has {len(record)} steps but the grid has {p.n_steps}")

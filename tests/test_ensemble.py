@@ -165,12 +165,6 @@ class TestCriterion2Enumerate:
         p = params(dt=1e-2, seed=3)
         assert future_enumeration(p, past_steps=5, future_steps=3)[0] < 1e-10
 
-    def test_scale_invariance(self):
-        p = params(dt=1e-2, seed=4)
-        d1, _ = future_enumeration(p, 5, 3)
-        d2, _ = future_enumeration(p, 5, 3, effect_scale=3.7)
-        assert abs(d1 - d2) < 1e-12
-
     def test_rejects_homodyne(self):
         with pytest.raises(ValueError):
             future_enumeration(params(unraveling="homodyne_x"), 2, 2)

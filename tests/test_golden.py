@@ -39,7 +39,7 @@ DIGESTS = {
     "simulate-homodyne_x-json": "5725c097b877163aa08608c105b892a118b42ad6faccb53be511053b4572c856",
     "simulate-homodyne_y-csv": "69fd5092321ee17b9639c50cf90e04f6af5111c2fd05a7b691dcedd80425becd",
     "simulate-homodyne_y-json": "bfe0c214cf5521ad90fb9ccc6c804e3f3fe5cf486aa6779733f39ab9e16aff61",
-    "validate": "b4d6b2bf2259daaae20f13c97f672e9decebfcf74d7e3c90f164f8ad3838e40f",
+    "validate": "ea46793f0759d2c9c1759562746af1817164f4f8d49a187ec074e82f7012178a",
 }
 
 HERE = {"numpy": np.__version__, "machine": platform.machine()}

@@ -3,6 +3,7 @@ import pytest
 
 from qsmooth import channels, qmath, smoothing
 from qsmooth.dynamics import (
+    MeasurementRecord,
     ModelParams,
     build_step_operators,
     filter_trajectory,
@@ -10,7 +11,7 @@ from qsmooth.dynamics import (
     to_matrix,
     to_vector,
 )
-from qsmooth.qmath import dag, mm
+from qsmooth.qmath import ZeroTraceError, dag, mm
 from qsmooth.smoothing import DegenerateWeightsError, gw_enumerate, gw_smooth
 
 PURE_GROUND = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -92,11 +93,13 @@ class TestEnumerated:
         print(f"\nmean purity: recovery-smoothed mixture {pur(res.gw_pf):.4f} "
               f"vs plain mixture {pur(res.gw):.4f}")
 
-    def test_requires_jump_bob(self):
-        p = params()
-        fr = filter_trajectory(p)
-        with pytest.raises(ValueError):
-            gw_enumerate(fr.record, p, bob_unraveling="homodyne_x")
+    def test_impossible_record_raises(self):
+        # with no drive and no absorption, two clicks in a row leave the
+        # emitter no time to be re-excited: no state can produce the record
+        p = params(omega=0.0, nbar=0.0, t_final=0.05)
+        record = MeasurementRecord("jump", p.dt, np.array([0.0, 1.0, 1.0, 0.0, 0.0]))
+        with np.errstate(all="raise"), pytest.raises(ZeroTraceError, match="time index 1"):
+            gw_enumerate(record, p)
 
 
 class TestMonteCarlo:
@@ -145,6 +148,13 @@ class TestMonteCarlo:
         fr = filter_trajectory(p)
         with pytest.raises(DegenerateWeightsError):
             gw_smooth(fr.record, p, "jump", n_bob=1, seed=0)
+
+    def test_impossible_record_raises(self):
+        # at eta = 0 the monitored channel never clicks
+        p = params(eta=0.0, t_final=0.05)
+        record = MeasurementRecord("jump", p.dt, np.array([0.0, 0.0, 1.0, 0.0, 0.0]))
+        with np.errstate(all="raise"), pytest.raises(ZeroTraceError, match="time index 2"):
+            gw_smooth(record, p, "jump", n_bob=50, seed=1)
 
     def test_states_physical(self):
         p = params(rho0=np.diag([0.4, 0.6]).astype(complex))

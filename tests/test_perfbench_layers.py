@@ -12,6 +12,7 @@ from pathlib import Path
 
 import qsmooth
 import qsmooth.cli
+from qsmooth import checks
 from qsmooth.dynamics import ModelParams
 from qsmooth.ensemble import EnsembleSpec, run_ensemble
 
@@ -48,7 +49,19 @@ def test_ensemble_and_simulate_reach_the_traced_kernels(tmp_path, capsys):
             run()
         calls[name] = {layer: tracer.totals[layer]["calls"]
                        for layer in ("smoothing.petz_fuchs_series",
-                                     "smoothing.swv_purity_series")}
+                                     "smoothing.swv_purity_series",
+                                     "dynamics.unconditional_series")}
     assert calls["ensemble"]["smoothing.petz_fuchs_series"] > 0
+    # run_ensemble imports it at call time, so the span sees the call
+    assert calls["ensemble"]["dynamics.unconditional_series"] > 0
     assert calls["simulate"]["smoothing.petz_fuchs_series"] > 0
     assert calls["simulate"]["smoothing.swv_purity_series"] > 0
+
+
+def test_future_enumeration_reaches_the_traced_kernels():
+    # criterion 1 walks its futures back and smooths them on the record path
+    spans = _load_spans()
+    with spans.Tracer(qsmooth) as tracer:
+        checks.future_enumeration(ModelParams(omega=5.0, nbar=0.5, dt=1e-2, seed=1), 2, 3)
+    assert tracer.totals["smoothing.backward_step"]["calls"] > 0
+    assert tracer.totals["smoothing.petz_fuchs_series"]["calls"] > 0

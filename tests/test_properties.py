@@ -2,8 +2,12 @@
 
 Draws cover all three unravelings, nbar and eta at their edges (nbar = 0,
 eta in {0, 1}) and inside, dt up to 0.95 of the bound gamma (nbar+1) dt < 1,
-pure and mixed initial states, and horizons of 1 to 40 steps.
+pure and mixed initial states, and horizons of 1 to 40 steps. Future
+enumeration runs the drawn model with photon counting, after 0 to 5 past
+steps and over 0 to 6 future steps.
 """
+
+import warnings
 
 import numpy as np
 from hypothesis import given, settings
@@ -48,3 +52,12 @@ def test_smoothing_invariants(p):
     assert np.array_equal(ens.avg_purity_smoothed, res.purity_smoothed)
     assert np.array_equal(ens.mean_bloch_filtered, np.sqrt(2.0) * res.filtered_coords[:, 1:])
     assert np.array_equal(ens.mean_bloch_smoothed, np.sqrt(2.0) * res.smoothed_coords[:, 1:])
+
+
+@given(models(), st.integers(0, 5), st.integers(0, 6))
+@settings(max_examples=100, deadline=None)
+def test_future_average_recovers_filtered(p, past, future):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # eta = 0 futures click with probability 0
+        defect, tol = checks.future_enumeration(p.replace(unraveling="jump"), past, future)
+    assert defect < tol

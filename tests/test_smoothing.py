@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from qsmooth import channels, classical, qmath, smoothing
 from qsmooth.dynamics import (
+    MeasurementRecord,
     ModelParams,
     build_step_operators,
     filter_trajectory,
@@ -235,6 +236,20 @@ class TestRetrofilter:
             one, one_scale = smoothing._adjoint_step_batch(ops, outcomes[5:6], effects[5:6])
             assert np.array_equal(batch[5], one[0])
             assert scale[5] == one_scale[0]
+
+    def test_zero_effect_stays_zero(self):
+        ops = build_step_operators(params(eta=0.0))
+        effects = np.tile(to_vector(np.eye(2), BASIS), (2, 1))
+        with np.errstate(all="raise"):
+            out, scale = smoothing._adjoint_step_batch(ops, np.array([0.0, 1.0]), effects)
+        assert scale[0] > 0.0 and np.all(out[1] == 0.0) and scale[1] == 0.0
+
+    def test_impossible_record_raises(self):
+        # at eta = 0 no state can produce a click
+        p = params(eta=0.0, dt=1e-2, t_final=0.05)
+        record = MeasurementRecord("jump", p.dt, np.array([0.0, 0.0, 1.0, 0.0, 0.0]))
+        with np.errstate(all="raise"), pytest.raises(ZeroTraceError, match="time index 2"):
+            retrofilter(record, p)
 
     def test_dark_record_commutes_and_smoothing_is_trivial(self):
         p = params(omega=0.0, nbar=0.0, t_final=0.3)
