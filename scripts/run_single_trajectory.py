@@ -47,7 +47,7 @@ def main():
     for start in range(0, args.max_scan, 64):
         idx = range(start, start + 64)
         outcomes, _, _, _ = filter_batch(p, ops, idx)
-        hits = np.nonzero((outcomes >= 0.5).sum(axis=1) == args.detections)[0]
+        hits = np.nonzero((outcomes >= 0.5).sum(axis=0) == args.detections)[0]
         if len(hits):
             chosen = start + int(hits[0])
             break

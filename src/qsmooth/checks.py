@@ -57,16 +57,17 @@ def future_enumeration(p: ModelParams, past_steps=5, future_steps=6):
     past = p.replace(t_final=max(past_steps, 1) * p.dt)
     r = filter_trajectory(past, ops=ops).coords[past_steps]  # coords[0] is rho0
 
-    futures = np.array(list(np.ndindex(*([2] * future_steps))), dtype=float)
-    weights = np.ones(len(futures))
+    # (steps, futures): one future per column
+    futures = np.array(list(np.ndindex(*([2] * future_steps))), dtype=float).T
+    weights = np.ones(futures.shape[1])
     for _, e, scale in smoothing.backward_walk(ops, futures):
         weights *= scale
-    weights *= e @ r  # p(future | past); the futures sum to 1
+    weights *= r @ e  # p(future | past); the futures sum to 1
     # Below round-off a probability is 0 to the walk (its scales may even come
     # out negative); dropping those moves the mixture by < 2**16 eps = 1.5e-11.
     live = weights > np.finfo(float).eps
     smoothed = smoothing.petz_fuchs_series(
-        np.repeat(r[:, None], np.count_nonzero(live), axis=1), e[live].T)
+        np.repeat(r[:, None], np.count_nonzero(live), axis=1), e[:, live])
     mixture = to_matrix(smoothed @ weights[live], ops.basis)
     return float(np.max(np.abs(mixture - to_matrix(r, ops.basis)))), 1e-10
 

@@ -188,8 +188,8 @@ def matrix_property(field):
 
 
 def vector_trace(r):
-    """Tr of the matrices with coordinates r; only G_0 has a trace."""
-    return math.sqrt(math.isqrt(r.shape[-1])) * r[..., 0]
+    """Tr of the matrices with coordinates r (d^2, ...); only G_0 has a trace."""
+    return math.sqrt(math.isqrt(r.shape[0])) * r[0]
 
 
 def transfer_matrix(cpmap, basis):
@@ -199,14 +199,16 @@ def transfer_matrix(cpmap, basis):
 
 
 def stack_products(stack, r):
-    """stack @ r_n for every row r_n of r: (N, m) from (m, d^2) and (N, d^2).
+    """stack @ r: (m, N) from (m, d^2) and coordinate columns r (d^2, N).
 
-    Explicit multiply-adds, so a row's bits do not depend on the batch
-    width (a BLAS product may block differently as N changes).
+    Explicit multiply-adds, so a column's bits do not depend on the batch
+    width (a BLAS product may block differently as N changes). Each
+    multiply-add runs over a contiguous row of N columns.
     """
-    out = r[:, :1] * stack[:, 0]
-    for j in range(1, r.shape[1]):
-        out += r[:, j:j + 1] * stack[:, j]
+    out = stack[:, :1] * r[0]
+    term = np.empty_like(out)
+    for j in range(1, r.shape[0]):
+        out += np.multiply(stack[:, j:j + 1], r[j], out=term)
     return out
 
 
@@ -220,9 +222,9 @@ class StepOperators:
 
     `blocks` are the transfer matrices F_y is assembled from: (S_0, S_1)
     for photon counting, (A, B, C) with S_y = A + y B + y^2 C for homodyne.
-    `forward` stacks them; for homodyne one more row gives the quadrature
-    mean Tr[x K(rho)] after the dissipation K. `backward` stacks their
-    transposes.
+    `forward` stacks them row-wise; for homodyne one more row gives the
+    quadrature mean Tr[x K(rho)] after the dissipation K. `backward` stacks
+    their transposes.
     """
 
     u: np.ndarray
@@ -341,22 +343,23 @@ class StepOperators:
     # -- transfer matrices --------------------------------------------------
 
     def combine(self, u, y):
-        """S_y r for each row of u = stack @ r, with stack `forward`, `backward`
-        or one built from them; y is one outcome per row, or a scalar.
+        """S_y r for each column of u = stack @ r, with stack `forward`,
+        `backward` or one built from them; y is one outcome per column, or a
+        scalar.
 
         Photon counting picks the block of the outcome; homodyne sums the
-        polynomial in y. Applied to the side-by-side blocks it gives S_y.
+        polynomial in y. Applied to the stacked blocks it gives S_y.
         """
         n = self.dim ** 2
-        parts = [u[..., i * n:(i + 1) * n] for i in range(len(self.blocks))]
-        y = np.asarray(y, dtype=float)[..., None]
+        parts = [u[i * n:(i + 1) * n] for i in range(len(self.blocks))]
+        y = np.asarray(y, dtype=float)
         if self.unraveling == "jump":
             return np.where(y >= 0.5, parts[1], parts[0])
         return parts[0] + y * (parts[1] + y * parts[2])
 
     def transfer(self, y):
         """The transfer matrix S_y of F_y for one outcome."""
-        return self.combine(np.hstack(self.blocks), y)
+        return self.combine(np.vstack(self.blocks), y)
 
 
 def model_operators(p: ModelParams):
@@ -384,17 +387,41 @@ def sample_outcomes(ops: StepOperators, u, r, noise):
     """Outcomes drawn from their actual distribution, given u = stack @ r.
 
     Photon counting clicks when the uniform draw falls below t1 / (t0 + t1),
-    the traces of the two blocks; homodyne adds dW/dt to the quadrature
-    mean read off the last row of u. Returns (outcomes, t0 + t1) or
-    (outcomes, mean).
+    the traces of the two blocks (u may stop after the trace row of the
+    second); homodyne adds dW/dt to the quadrature mean read off the last
+    row of u. Returns (outcomes, t0 + t1) or (outcomes, mean).
     """
     if ops.unraveling == "jump":
-        n = ops.dim ** 2
-        t0, t1 = vector_trace(u[:, :n]), vector_trace(u[:, n:2 * n])
+        # the traces of the two blocks, read off their G_0 rows
+        t0, t1 = math.sqrt(ops.dim) * u[0], math.sqrt(ops.dim) * u[ops.dim ** 2]
         total = t0 + t1
         return (noise < t1 / total).astype(float), total
-    mean = u[:, -1] / vector_trace(r)
+    mean = u[-1] / vector_trace(r)
     return mean + noise / ops.dt, mean
+
+
+def forward_step(ops: StepOperators, stack, r, noise):
+    """One forward step S_y r of every column of r (d^2, N), with y drawn by
+    `sample_outcomes`; `stack` is `ops.forward` or one built from it.
+
+    Photon counting is click-sparse: every column needs S_0 r and only the
+    trace row of S_1 r to draw y, and S_1 r itself is computed for the
+    columns that click. Each entry sees the multiply-adds of the full
+    product, so the bits equal `ops.combine(stack_products(stack, r), y)`.
+    Returns (outcomes, unnormalized states, the sampling summary).
+    """
+    if ops.unraveling != "jump":
+        u = stack_products(stack, r)
+        y, summary = sample_outcomes(ops, u, r, noise)
+        return y, ops.combine(u, y), summary
+    n = ops.dim ** 2
+    u = stack_products(stack[:n + 1], r)
+    y, summary = sample_outcomes(ops, u, r, noise)
+    out = u[:n]
+    clicks = y.nonzero()[0]  # y is 0.0 or 1.0
+    if clicks.size:
+        out[:, clicks] = stack_products(stack[n:2 * n], r[:, clicks])
+    return y, out, summary
 
 
 # -- unconditional evolution ----------------------------------------------
@@ -472,12 +499,12 @@ def trajectory_stream(master_seed, index, domain=0):
 
 
 def draw_noise(master_seed, indices, n, unraveling, dt, domain=0):
-    """(N, n) per-step draws, row i from stream (master_seed, indices[i]):
+    """(n, N) per-step draws, column i from stream (master_seed, indices[i]):
     uniforms for photon counting, N(0, dt) ostensible noise for homodyne."""
-    noise = np.empty((len(indices), n))
-    for row, i in enumerate(indices):
+    noise = np.empty((n, len(indices)))
+    for col, i in enumerate(indices):
         rng = trajectory_stream(master_seed, i, domain)
-        noise[row] = rng.random(n) if unraveling == "jump" \
+        noise[:, col] = rng.random(n) if unraveling == "jump" \
             else rng.normal(0.0, np.sqrt(dt), size=n)
     return noise
 
@@ -485,33 +512,30 @@ def draw_noise(master_seed, indices, n, unraveling, dt, domain=0):
 def filter_batch(p: ModelParams, ops: StepOperators, traj_indices):
     """Filter a batch of trajectories in lockstep.
 
-    Returns (outcomes (N, n), noise (N, n) or None, states (N, n+1, d^2),
-    log_weight (N, n+1)); states are coordinate vectors in `ops.basis`.
-    Trajectory i consumes only the stream derived from
-    (p.seed, traj_indices[i]), so results do not depend on how
-    trajectories are grouped into batches.
+    Returns (outcomes (n, N), noise (n, N) or None, states (n+1, d^2, N),
+    log_weight (n+1, N)), time-major with the trajectory axis last; states
+    are coordinate columns in `ops.basis`. Trajectory i consumes only the
+    stream derived from (p.seed, traj_indices[i]), so results do not depend
+    on how trajectories are grouped into batches.
     """
     n = p.n_steps
     idx = list(traj_indices)
     nb = len(idx)
     noise = draw_noise(p.seed, idx, n, p.unraveling, p.dt)
-    states = np.empty((nb, n + 1, p.dim ** 2))
-    log_weight = np.zeros((nb, n + 1))
-    outcomes = np.empty((nb, n))
-    r = np.broadcast_to(to_vector(p.rho0, ops.basis), states[:, 0].shape).copy()
-    states[:, 0] = r
+    states = np.empty((n + 1, p.dim ** 2, nb))
+    log_weight = np.zeros((n + 1, nb))
+    outcomes = np.empty((n, nb))
+    states[0] = to_vector(p.rho0, ops.basis)[:, None]
+    r = states[0]
 
     for s in range(n):
-        u = stack_products(ops.forward, r)
-        outcomes[:, s], _ = sample_outcomes(ops, u, r, noise[:, s])
-        r = ops.combine(u, outcomes[:, s])
-        w = vector_trace(r)
-        if np.any(w <= 1e-300):
+        outcomes[s], u, _ = forward_step(ops, ops.forward, r, noise[s])
+        w = vector_trace(u)
+        if w.min() <= 1e-300:
             raise qmath.ZeroTraceError(f"filtered state lost its weight at step {s}, "
                                        f"trajectory {idx[int(np.argmax(w <= 1e-300))]}")
-        log_weight[:, s + 1] = log_weight[:, s] + np.log(w)
-        r = r / w[:, None]
-        states[:, s + 1] = r
+        np.add(log_weight[s], np.log(w), out=log_weight[s + 1])
+        r = np.divide(u, w, out=states[s + 1])
     return outcomes, (noise if p.is_homodyne else None), states, log_weight
 
 
@@ -525,6 +549,7 @@ def filter_trajectory(p: ModelParams, traj_index=0,
     ops = build_step_operators(p) if ops is None else ops
     outcomes, noise, states, logw = filter_batch(p, ops, [traj_index])
     record = MeasurementRecord(
-        unraveling=p.unraveling, dt=p.dt, outcomes=outcomes[0],
-        ostensible_noise=None if noise is None else noise[0])
-    return FilterResult(p, record, coords=states[0], log_weight=logw[0], basis=ops.basis)
+        unraveling=p.unraveling, dt=p.dt, outcomes=outcomes[:, 0],
+        ostensible_noise=None if noise is None else noise[:, 0])
+    return FilterResult(p, record, coords=states[:, :, 0], log_weight=logw[:, 0],
+                        basis=ops.basis)

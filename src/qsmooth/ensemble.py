@@ -92,7 +92,7 @@ def run_ensemble(spec: EnsembleSpec) -> EnsembleResult:
     for start in range(0, n_traj, _CHUNK):
         idx = range(start, min(start + _CHUNK, n_traj))
         outcomes, _, states, _ = filter_batch(p, ops, idx)
-        nb = states.shape[0]
+        nb = states.shape[2]
 
         # Backward pass: the walk's effects go into a coordinate-major
         # buffer of _BLOCK time steps; the filtered and smoothed statistics
@@ -103,9 +103,9 @@ def run_ensemble(spec: EnsembleSpec) -> EnsembleResult:
         for stop in range(n + 1, 0, -_BLOCK):
             first = max(stop - _BLOCK, 0)  # the block holds times first .. stop - 1
             for s, effect, _ in itertools.islice(walk, stop - first):
-                buf[:, s - first] = effect.T
+                buf[:, s - first] = effect
             # (4, time, trajectory) coordinates of the block
-            r = np.ascontiguousarray(states[:, first:stop].transpose(2, 1, 0))
+            r = states[first:stop].transpose(1, 0, 2)
             pur_f, bloch_f, _, _ = smoothing.qubit_statistics(r)
             pur_s, bloch_s, low, defect = smoothing.qubit_statistics(
                 smoothing.petz_fuchs_series(r, buf[:, :stop - first], first, start))

@@ -30,9 +30,9 @@ from .dynamics import (
     build_step_operators,
     draw_noise,
     filter_trajectory,
+    forward_step,
     matrix_property,
     model_operators,
-    sample_outcomes,
     stack_products,
     to_matrix,
     to_vector,
@@ -63,17 +63,41 @@ class EffectSeries:
     effects = matrix_property("coords")
 
 
-def _adjoint_step_batch(ops: StepOperators, outcomes_col, effects):
-    """One backward step E <- F_y^dag[E] per row, as e <- S_y^T e.
+# A click column whose pulled-back trace row is within this many round-offs
+# of its terms is zero: no state can produce the click.
+_CLICK_ROUNDOFF = 1024.0
 
-    `effects` are coordinate vectors (N, d^2). Each result is rescaled to
-    the identity's trace, Tr E = d, so records of any length stay inside
-    floating-point range; returns (effects, the factors divided out). A zero
-    F_y^dag[E] (no state can produce y, e.g. a click at eta = 0) stays zero.
+
+def _adjoint_step_batch(ops: StepOperators, outcomes_col, effects, clicks=None):
+    """One backward step E <- F_y^dag[E] per column, as e <- S_y^T e.
+
+    `effects` are coordinate columns (d^2, N). Photon counting applies S_0^T
+    to every column and S_1^T only to the click columns `clicks` (found from
+    the outcomes when not given), with the bits of the full product. Each
+    result is rescaled to the identity's trace, Tr E = d, so records of any
+    length stay inside floating-point range; returns (effects, the factors
+    divided out). A zero F_y^dag[E] (no state can produce y, e.g. a click at
+    eta = 0) stays zero.
+
+    Only a click can pull an effect back to zero: M_0, K_0, U and the
+    homodyne M_y are invertible. So a click column whose trace row is at
+    most `_CLICK_ROUNDOFF` eps sum_j |S_1^T|_0j |e_j|, the size of its
+    round-off, is set to exactly zero.
     """
-    e = ops.combine(stack_products(ops.backward, effects), outcomes_col)
+    if ops.unraveling != "jump":
+        e = ops.combine(stack_products(ops.backward, effects), outcomes_col)
+    else:
+        n = ops.dim ** 2
+        e = stack_products(ops.backward[:n], effects)
+        clicks = np.flatnonzero(outcomes_col >= 0.5) if clicks is None else clicks
+        if clicks.size:
+            s1t, hit = ops.backward[n:], effects[:, clicks]
+            pulled = stack_products(s1t, hit)
+            roundoff = _CLICK_ROUNDOFF * np.finfo(float).eps * (np.abs(s1t[0]) @ np.abs(hit))
+            pulled[:, pulled[0] <= roundoff] = 0.0
+            e[:, clicks] = pulled
     scale = vector_trace(e) / ops.dim
-    return e / (scale + (scale == 0.0))[:, None], scale  # a zero effect is divided by 1
+    return np.divide(e, scale, out=e, where=scale != 0.0), scale  # a zero effect stays
 
 
 # perfbench/spans.py traces the backward step under this name as well
@@ -81,14 +105,20 @@ _adjoint_step = _adjoint_step_batch
 
 
 def backward_walk(ops: StepOperators, outcomes):
-    """(s, effects (N, d^2), scale (N,)) for s = n, ..., 0 along the records
-    `outcomes` (N, n): E(T) = identity, then one `_adjoint_step_batch` per
-    step, with `scale` the factor that step divided out."""
-    n = outcomes.shape[1]
-    e = np.broadcast_to(to_vector(np.eye(ops.dim), ops.basis), (len(outcomes), ops.dim ** 2))
-    yield n, e, np.ones(len(outcomes))
+    """(s, effects (d^2, N), scale (N,)) for s = n, ..., 0 along the records
+    `outcomes` (n, N): E(T) = identity, then one `_adjoint_step_batch` per
+    step, with `scale` the factor that step divided out. The click columns
+    of photon-counting records are found once, for all steps."""
+    n, width = outcomes.shape
+    e = np.broadcast_to(to_vector(np.eye(ops.dim), ops.basis)[:, None],
+                        (ops.dim ** 2, width))
+    yield n, e, np.ones(width)
+    clicks = [None] * n
+    if ops.unraveling == "jump":
+        steps, cols = np.nonzero(outcomes >= 0.5)  # in step order
+        clicks = np.split(cols, np.searchsorted(steps, np.arange(1, n)))
     for s in range(n - 1, -1, -1):
-        e, scale = _adjoint_step_batch(ops, outcomes[:, s], e)
+        e, scale = _adjoint_step_batch(ops, outcomes[s], e, clicks[s])
         yield s, e, scale
 
 
@@ -99,12 +129,12 @@ def retrofilter(record: MeasurementRecord, p: ModelParams,
     ZeroTraceError naming the latest time index from which no state can
     produce the rest of the record."""
     ops = build_step_operators(p) if ops is None else ops
-    walk = list(backward_walk(ops, np.asarray(record.outcomes, dtype=float)[None]))
+    walk = list(backward_walk(ops, np.asarray(record.outcomes, dtype=float)[:, None]))
     dead = [s for s, _, scale in walk if not scale[0] > 0.0]  # latest first
     if dead:
         raise ZeroTraceError(f"no state at time index {dead[0]} can produce the record")
     log_scale = np.cumsum([np.log(scale[0]) for _, _, scale in walk])[::-1]
-    return EffectSeries(coords=np.array([e[0] for _, e, _ in walk[::-1]]),
+    return EffectSeries(coords=np.array([e[:, 0] for _, e, _ in walk[::-1]]),
                         log_scale=log_scale, basis=ops.basis)
 
 
@@ -346,27 +376,24 @@ class GwResult:
 def _combine_true_states(true_states, log_v, effect_vectors, basis):
     """Self-normalized mixtures of true states against the effects.
 
-    true_states: (N, T, 4) normalized qubit states and effect_vectors:
-    (T, 4) effects, both as coordinates in `basis`; log_v: (N, T) log
+    true_states: (T, 4, N) normalized qubit states and effect_vectors:
+    (T, 4) effects, both as coordinates in `basis`; log_v: (T, N) log
     importance weights. Returns (gw, gw_pf, ess).
     """
-    n_t = true_states.shape[1]
+    n_t = true_states.shape[0]
     gw, gw_pf = np.empty((2, n_t, 4))
     ess = np.empty(n_t)
     for t in range(n_t):
-        r = true_states[:, t]
-        lv = log_v[:, t]
+        r = true_states[t]
+        lv = log_v[t]
         v = np.exp(lv - np.max(lv))
-        w = v * np.einsum("na,a->n", r, effect_vectors[t])  # Tr[E rho]
+        w = v * np.einsum("an,a->n", r, effect_vectors[t])  # Tr[E rho]
         wsum = w.sum()
         if wsum <= 0 or w.max() <= 0:
             raise DegenerateWeightsError(f"all weights vanished at index {t}")
         ess[t] = wsum / w.max()
-        gw[t] = np.einsum("n,na->a", w, r) / wsum
-        # einsum sums in memory order, so keep the rows contiguous (no copy:
-        # the sandwich comes back in the layout of r)
-        sw = np.ascontiguousarray(qubit_sandwich(r.T, effect_vectors[t][:, None]).T)
-        pf = np.einsum("n,na->a", v, sw)
+        gw[t] = np.einsum("n,an->a", w, r) / wsum
+        pf = np.einsum("n,an->a", v, qubit_sandwich(r, effect_vectors[t][:, None]))
         gw_pf[t] = pf / vector_trace(pf)
     return to_matrix(gw, basis), to_matrix(gw_pf, basis), ess
 
@@ -391,27 +418,25 @@ def gw_smooth(record: MeasurementRecord, p: ModelParams, bob_unraveling,
     n = len(record)
 
     noise = draw_noise(seed, range(n_bob), n, bob.unraveling, p.dt, domain=1)
-    r = np.broadcast_to(to_vector(p.rho0, ops.basis), (n_bob, ops.dim ** 2)).copy()
-    log_v = np.zeros((n_bob, n + 1))
-    true_states = np.empty((n_bob, n + 1, ops.dim ** 2))
-    true_states[:, 0] = r
+    log_v = np.zeros((n + 1, n_bob))
+    true_states = np.empty((n + 1, ops.dim ** 2, n_bob))
+    true_states[0] = to_vector(p.rho0, ops.basis)[:, None]
+    r = true_states[0]
     for s in range(n):
-        u = stack_products(_true_state_stack(alice, bob, record.outcomes[s]), r)
-        z, summary = sample_outcomes(bob, u, r, noise[:, s])
-        r = bob.combine(u, z)
-        tr = vector_trace(r)
+        stack = _true_state_stack(alice, bob, record.outcomes[s])
+        z, u, summary = forward_step(bob, stack, r, noise[s])
+        tr = vector_trace(u)
         if bob.unraveling == "jump":
             # Sampling z from its actual conditional leaves the summed
             # observed-outcome likelihood t0 + t1 as the weight increment.
-            log_v[:, s + 1] = log_v[:, s] + np.log(summary)
+            log_v[s + 1] = log_v[s] + np.log(summary)
         else:
             # density ratio between the zero-mean ostensible Gaussian and
             # the shifted sampler of the increment z dt
             mean = summary
             log_q_ratio = -z * p.dt * mean + 0.5 * mean * mean * p.dt
-            log_v[:, s + 1] = log_v[:, s] + np.log(tr) + log_q_ratio
-        r = r / tr[:, None]
-        true_states[:, s + 1] = r
+            log_v[s + 1] = log_v[s] + np.log(tr) + log_q_ratio
+        r = np.divide(u, tr, out=true_states[s + 1])
 
     gw, gw_pf, ess = _combine_true_states(true_states, log_v, eff.coords, ops.basis)
     if np.min(ess) < 2.0:
@@ -441,20 +466,21 @@ def gw_enumerate(record: MeasurementRecord, p: ModelParams):
 
     # branch states carry their joint likelihood in the trace; the two
     # unobserved outcomes of a branch stay adjacent
-    per_time = [to_vector(p.rho0, ops.basis)[None, :]]
+    d2 = ops.dim ** 2
+    per_time = [to_vector(p.rho0, ops.basis)[:, None]]
     for s in range(n):
         u = stack_products(_true_state_stack(alice, bob, record.outcomes[s]), per_time[-1])
-        per_time.append(u.reshape(-1, ops.dim ** 2))
-    filtered = to_matrix(np.array([b.sum(axis=0) for b in per_time]), ops.basis)
+        per_time.append(u.reshape(2, d2, -1).transpose(1, 2, 0).reshape(d2, -1))
+    filtered = to_matrix(np.array([b.sum(axis=1) for b in per_time]), ops.basis)
 
     # Each leaf carries its ancestor at every time; repeating an ancestor
     # once per leaf scales all weights at that time alike, which the
     # self-normalized mixtures cancel.
     leaves = np.arange(2 ** n)
-    branches = np.stack([per_time[t][leaves >> (n - t)] for t in range(n + 1)], axis=1)
-    traces = vector_trace(branches)
+    branches = np.stack([per_time[t][:, leaves >> (n - t)] for t in range(n + 1)])
+    traces = vector_trace(branches.swapaxes(0, 1))
     gw, gw_pf, _ = _combine_true_states(
-        branches / traces[..., None], np.log(traces), eff.coords, ops.basis)
+        branches / traces[:, None], np.log(traces), eff.coords, ops.basis)
     ess = np.full(n + 1, np.nan)
     return GwResult(times=p.times, gw=gw, gw_pf=gw_pf, ess=ess,
                     n_bob=2 ** n), filtered

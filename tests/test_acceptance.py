@@ -137,12 +137,12 @@ def test_criterion_8_swv_unphysical_and_identity():
     p = ModelParams(unraveling="jump", seed=55, **BASE)
     ops = build_step_operators(p)
     outcomes, _, states, _ = filter_batch(p, ops, range(240))
-    with_click = np.nonzero((outcomes >= 0.5).any(axis=1))[0][:200]
+    with_click = np.nonzero((outcomes >= 0.5).any(axis=0))[0][:200]
     assert len(with_click) == 200
-    states = states[with_click]
+    states = states[:, :, with_click]
     max_swv_purity = 0.0
-    for s, effect, _ in smoothing.backward_walk(ops, outcomes[with_click]):
-        pur, _ = smoothing.swv_purity_series(states[:, s].T, effect.T)
+    for s, effect, _ in smoothing.backward_walk(ops, outcomes[:, with_click]):
+        pur, _ = smoothing.swv_purity_series(states[s], effect)
         max_swv_purity = max(max_swv_purity, float(pur.max()))
     unphysical = max_swv_purity > 1.0 + 1e-6
 

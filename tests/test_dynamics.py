@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -252,11 +254,11 @@ class TestTransferCore:
             else:
                 y = float(rng.integers(0, 2))
             fmap = ops.conditional_map(y)
-            fwd = ops.combine(stack_products(ops.forward, to_vector(rho, ops.basis)[None]), [y])
-            bwd = ops.combine(stack_products(ops.backward, to_vector(e, ops.basis)[None]), [y])
-            assert np.max(np.abs(to_matrix(fwd[0], ops.basis)
+            fwd = ops.combine(stack_products(ops.forward, to_vector(rho, ops.basis)[:, None]), [y])
+            bwd = ops.combine(stack_products(ops.backward, to_vector(e, ops.basis)[:, None]), [y])
+            assert np.max(np.abs(to_matrix(fwd[:, 0], ops.basis)
                                  - channels.apply(fmap, rho))) < 1e-13
-            assert np.max(np.abs(to_matrix(bwd[0], ops.basis)
+            assert np.max(np.abs(to_matrix(bwd[:, 0], ops.basis)
                                  - channels.adjoint_apply(fmap, e))) < 1e-13
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -277,12 +279,46 @@ class TestTransferCore:
         rho = mm(g, dag(g))
         rho /= trace_of(rho).real
         y = 20.0 if unraveling != "jump" else 1.0
-        fwd = ops.combine(stack_products(ops.forward, to_vector(rho, ops.basis)[None]), [y])
-        bwd = ops.combine(stack_products(ops.backward, to_vector(rho, ops.basis)[None]), [y])
+        fwd = ops.combine(stack_products(ops.forward, to_vector(rho, ops.basis)[:, None]), [y])
+        bwd = ops.combine(stack_products(ops.backward, to_vector(rho, ops.basis)[:, None]), [y])
         fmap = ops.conditional_map(y)
-        assert np.max(np.abs(to_matrix(fwd[0], ops.basis) - channels.apply(fmap, rho))) < 1e-13
-        assert np.max(np.abs(to_matrix(bwd[0], ops.basis)
+        assert np.max(np.abs(to_matrix(fwd[:, 0], ops.basis) - channels.apply(fmap, rho))) < 1e-13
+        assert np.max(np.abs(to_matrix(bwd[:, 0], ops.basis)
                              - channels.adjoint_apply(fmap, rho))) < 1e-13
+
+
+class TestClickSparseForward:
+    """The photon-counting forward step computes S_1 r only where a click
+    happened; it must give the bits of the full product."""
+
+    @pytest.fixture
+    def forced_clicks(self, monkeypatch):
+        # a click wherever the trajectory's own uniform draw is below 0.3:
+        # about a third of the steps, mixed across columns at every step
+        sample = dynamics.sample_outcomes
+
+        def often(ops, u, r, noise):
+            _, summary = sample(ops, u, r, noise)
+            return (noise < 0.3).astype(float), summary
+
+        monkeypatch.setattr(dynamics, "sample_outcomes", often)
+
+    def test_columns_match_single_runs_and_dense_steps(self, forced_clicks):
+        p = params(t_final=0.02, seed=2)
+        ops = build_step_operators(p)
+        outcomes, _, states, logw = filter_batch(p, ops, range(12))
+        clicks = outcomes.sum(axis=1)
+        assert np.any((clicks > 0) & (clicks < 12))  # steps with a mix of columns
+        for col in range(12):
+            one = filter_trajectory(p, traj_index=col, ops=ops)
+            assert np.array_equal(outcomes[:, col], one.record.outcomes)
+            assert np.array_equal(states[:, :, col], one.coords)
+            assert np.array_equal(logw[:, col], one.log_weight)
+        for s, y in enumerate(outcomes):
+            dense = ops.combine(stack_products(ops.forward, states[s]), y)
+            w = np.sqrt(2.0) * dense[0]
+            assert np.array_equal(states[s + 1], dense / w)
+            assert np.array_equal(logw[s + 1], logw[s] + np.log(w))
 
 
 class TestFilterTrajectory:
@@ -309,7 +345,7 @@ class TestFilterTrajectory:
         p = params(seed=0)
         ops = build_step_operators(p)
         outcomes, _, _, _ = filter_batch(p, ops, range(32))
-        detections = (outcomes >= 0.5).sum(axis=1)
+        detections = (outcomes >= 0.5).sum(axis=0)
         assert np.any(detections == 1)
 
     def test_bit_identical_reruns(self):
@@ -326,10 +362,10 @@ class TestFilterTrajectory:
             ops = build_step_operators(p)
             outcomes, noise, states, logw = filter_batch(p, ops, range(8))
             single = filter_trajectory(p, traj_index=5, ops=ops)
-            assert np.array_equal(outcomes[5], single.record.outcomes)
-            assert np.array_equal(to_matrix(states[5], ops.basis), single.states)
+            assert np.array_equal(outcomes[:, 5], single.record.outcomes)
+            assert np.array_equal(to_matrix(states[:, :, 5], ops.basis), single.states)
             if noise is not None:
-                assert np.array_equal(noise[5], single.record.ostensible_noise)
+                assert np.array_equal(noise[:, 5], single.record.ostensible_noise)
 
     def test_filtered_states_stay_physical(self):
         for unraveling in ("jump", "homodyne_x", "homodyne_y"):
@@ -351,6 +387,19 @@ class TestFilterTrajectory:
             unnormalized = np.exp(fr.log_weight[s + 1]) * fr.states[s + 1]
             assert np.max(np.abs(unnormalized - raw)) / np.abs(raw).max() < 1e-12
 
+    def test_batch_memory_stays_near_its_output(self):
+        # the filter keeps no full-horizon buffers beyond the noise it draws
+        p = params(t_final=1.0, seed=1)
+        ops = build_step_operators(p)
+        tracemalloc.start()
+        try:
+            out = filter_batch(p, ops, range(512))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        returned = sum(a.nbytes for a in out if a is not None)
+        assert peak <= 1.25 * returned
+
     def test_distinct_streams(self):
         s0 = trajectory_stream(0, 0).random(4)
         s1 = trajectory_stream(0, 1).random(4)
@@ -366,7 +415,7 @@ class TestEnsembleMeanConsistency:
             p = params(unraveling=unraveling, t_final=1.5, seed=77)
             ops = build_step_operators(p)
             _, _, states, _ = filter_batch(p, ops, range(n_traj))
-            mean = to_matrix(states.mean(axis=0), ops.basis)
+            mean = to_matrix(states.mean(axis=2), ops.basis)
             uncond = unconditional_series(p)
             tol = 4.0 / np.sqrt(n_traj) + 5.0 * p.dt
             assert np.max(np.abs(mean - uncond)) < tol

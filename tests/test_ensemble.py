@@ -30,7 +30,7 @@ def _zero_filtered_states(monkeypatch, entries):
         rows = list(traj_indices)
         for time, traj in entries:
             if traj in rows:
-                states[rows.index(traj), time] = 0.0
+                states[time, :, rows.index(traj)] = 0.0
         return outcomes, noise, states, log_weight
 
     monkeypatch.setattr(ens, "filter_batch", zeroed)

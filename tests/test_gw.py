@@ -54,8 +54,8 @@ class TestTrueStateStep:
             lead = mm(ops.u, mm(ops.measurement_op(y), b))
             ref = channels.apply(channels.CPMap(tuple(mm(lead, r) for r in residual)), rho)
             u = stack_products(smoothing._true_state_stack(alice, bob, y),
-                               to_vector(rho, ops.basis)[None])
-            out = to_matrix(bob.combine(u, [z])[0], ops.basis)
+                               to_vector(rho, ops.basis)[:, None])
+            out = to_matrix(bob.combine(u, [z])[:, 0], ops.basis)
             assert np.max(np.abs(out - ref)) < 1e-13
 
 

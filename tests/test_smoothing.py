@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -10,6 +12,7 @@ from qsmooth.dynamics import (
     build_step_operators,
     filter_trajectory,
     hermitian_basis,
+    stack_products,
     to_vector,
     vector_trace,
 )
@@ -133,14 +136,14 @@ class TestQubitSandwich:
         e = to_vector(mm(g, dag(g)), BASIS)
         wide, one = qubit_sandwich(r.T, e.T), qubit_sandwich(r[5:6].T, e[5:6].T)
         assert np.array_equal(wide[:, 5], one[:, 0])
-        s = wide / vector_trace(wide.T)
+        s = wide / vector_trace(wide)
         for a, b in zip(qubit_statistics(s), qubit_statistics(s[:, 5:6])):
             assert np.array_equal(a[..., 5], b[..., 0])
 
     def test_ground_against_excited_has_zero_weight(self):
         out = qubit_sandwich(to_vector(GROUND, BASIS)[:, None],
                              to_vector(EXCITED, BASIS)[:, None])
-        assert vector_trace(out.T)[0] <= 1e-300
+        assert vector_trace(out)[0] <= 1e-300
         assert np.max(np.abs(out)) <= 1e-300
 
     def test_zero_state_gives_zero_row(self):
@@ -159,7 +162,11 @@ class TestCoordinateSeries:
             v = np.linalg.eigh(rho)[1][:, 0]
             effect = np.outer(v, v.conj()) + small * effect
         tr = trace_of(mm(rho, effect)).real
-        kappa = np.linalg.norm(rho) * np.linalg.norm(effect) / tr if tr > 0 else np.inf
+        if tr <= 1e-300:  # no weight to normalize by: both routes must say so
+            with pytest.raises(ZeroTraceError):
+                swv_state(rho, effect)
+            return
+        kappa = np.linalg.norm(rho) * np.linalg.norm(effect) / tr
         assume(kappa < 1e9)
         ref = swv_state(rho, effect)
         ref_purity = trace_of(mm(ref.state, ref.state)).real
@@ -224,25 +231,48 @@ class TestRetrofilter:
                 dev = np.max(np.abs(unnormalized - raw)) / np.abs(raw).max()
                 assert dev < 1e-12
 
+    # photon-counting click patterns over 8 columns: drawn, every column
+    # clicks, none does, and a mix
+    CLICKS = {"all": np.ones(8), "none": np.zeros(8),
+              "mixed": (np.arange(8) % 3 == 1).astype(float)}
+
     def test_backward_batch_member_matches_single(self):
-        for unraveling in ("jump", "homodyne_x"):
+        for unraveling, clicks in [("homodyne_x", None), ("jump", None),
+                                   *(("jump", c) for c in self.CLICKS)]:
             p = params(unraveling=unraveling)
             ops = build_step_operators(p)
             rng = np.random.default_rng(6)
-            effects = rng.normal(size=(8, 4))
+            effects = rng.normal(size=(8, 4)).T
             outcomes = rng.normal(0.0, 30.0, size=8) if p.is_homodyne \
                 else rng.integers(0, 2, size=8).astype(float)
+            if clicks is not None:
+                outcomes = self.CLICKS[clicks]
             batch, scale = smoothing._adjoint_step_batch(ops, outcomes, effects)
-            one, one_scale = smoothing._adjoint_step_batch(ops, outcomes[5:6], effects[5:6])
-            assert np.array_equal(batch[5], one[0])
-            assert scale[5] == one_scale[0]
+            for col in range(8):
+                one, one_scale = smoothing._adjoint_step_batch(
+                    ops, outcomes[col:col + 1], effects[:, col:col + 1])
+                assert np.array_equal(batch[:, col], one[:, 0])
+                assert scale[col] == one_scale[0]
+
+    @pytest.mark.parametrize("clicks", list(CLICKS))
+    def test_click_sparse_step_equals_dense(self, clicks):
+        # S_1^T on the click columns only, against the full product
+        ops = build_step_operators(params())
+        rng = np.random.default_rng(8)
+        g = rng.normal(size=(8, 2, 2)) + 1j * rng.normal(size=(8, 2, 2))
+        effects = to_vector(mm(g, dag(g)), BASIS).T
+        outcomes = self.CLICKS[clicks]
+        out, scale = smoothing._adjoint_step_batch(ops, outcomes, effects)
+        dense = ops.combine(stack_products(ops.backward, effects), outcomes)
+        assert np.array_equal(scale, vector_trace(dense) / ops.dim)
+        assert np.array_equal(out, dense / scale)
 
     def test_zero_effect_stays_zero(self):
         ops = build_step_operators(params(eta=0.0))
-        effects = np.tile(to_vector(np.eye(2), BASIS), (2, 1))
+        effects = np.tile(to_vector(np.eye(2), BASIS)[:, None], (1, 2))
         with np.errstate(all="raise"):
             out, scale = smoothing._adjoint_step_batch(ops, np.array([0.0, 1.0]), effects)
-        assert scale[0] > 0.0 and np.all(out[1] == 0.0) and scale[1] == 0.0
+        assert scale[0] > 0.0 and np.all(out[:, 1] == 0.0) and scale[1] == 0.0
 
     def test_impossible_record_raises(self):
         # at eta = 0 no state can produce a click
@@ -250,6 +280,29 @@ class TestRetrofilter:
         record = MeasurementRecord("jump", p.dt, np.array([0.0, 0.0, 1.0, 0.0, 0.0]))
         with np.errstate(all="raise"), pytest.raises(ZeroTraceError, match="time index 2"):
             retrofilter(record, p)
+
+    def test_impossible_records_caught_at_roundoff(self):
+        # Without drive or thermal photons only one photon can ever be
+        # emitted from the ground state, so a record with two clicks is
+        # impossible. The Kraus-form pullback is then exactly zero, while
+        # the transfer matrices leave round-off behind.
+        n_impossible = n_possible = 0
+        for eta, dt in itertools.product((0.3, 0.5, 1.0), (0.05, 0.3, 0.5, 0.9)):
+            p = params(omega=0.0, nbar=0.0, eta=eta, dt=dt, t_final=6 * dt)
+            ops = build_step_operators(p)
+            for bits in itertools.product((0.0, 1.0), repeat=6):
+                raw = np.eye(2, dtype=complex)
+                for y in reversed(bits):
+                    raw = channels.adjoint_apply(ops.conditional_map(y), raw)
+                record = MeasurementRecord("jump", dt, np.array(bits))
+                if np.all(raw == 0.0):
+                    n_impossible += 1
+                    with pytest.raises(ZeroTraceError):
+                        retrofilter(record, p, ops=ops)
+                else:
+                    n_possible += 1
+                    retrofilter(record, p, ops=ops)
+        assert (n_impossible, n_possible) == (684, 84)
 
     def test_dark_record_commutes_and_smoothing_is_trivial(self):
         p = params(omega=0.0, nbar=0.0, t_final=0.3)
@@ -453,12 +506,12 @@ class TestCriterion2MonteCarloHomodyne:
         from qsmooth.dynamics import filter_batch
         p_fut = p.replace(t_final=(p.n_steps - past_steps) * p.dt,
                           rho0=rho_f, seed=555)
-        outcomes, _, _, _ = filter_batch(p_fut, ops, range(n_fut))
+        outcomes, _, _, _ = filter_batch(p_fut, ops, range(n_fut))  # (steps, futures)
         # effect pullback per sampled future, reusing the recorded outcomes
         acc = np.zeros((2, 2), dtype=complex)
         for i in range(n_fut):
             rec = smoothing.MeasurementRecord(
-                unraveling=p.unraveling, dt=p.dt, outcomes=outcomes[i])
+                unraveling=p.unraveling, dt=p.dt, outcomes=outcomes[:, i])
             eff = retrofilter(rec, p_fut, ops=ops)
             acc += petz_fuchs(rho_f, eff.effects[0])
         mean = acc / n_fut
