@@ -2,9 +2,9 @@
 """Alternating parent/change pairs of the qsmooth benchmark, as one BENCH file.
 
     python3 scripts/bench_pairs.py --parent DIR --change DIR --tag NAME \\
-        --pairs ensemble_batch=10 --pairs gw_importance=3 [--seconds 40]
+        --pairs ensemble_batch=10 --pairs gw_importance=3
 
-Each side of a pair runs `perfbench/run.py --workload W --seed S --seconds T
+Each side of a pair runs `perfbench/run.py --workload W --seed S --seconds 40
 --trace 0` from its own checkout, both sides with the same seed; the side
 that runs first alternates from pair to pair. Every run's last stdout line
 (the result line) is kept. The output is `BENCH_<date>_<tag>.json` in
@@ -28,6 +28,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SECONDS = 40.0  # the benchmark's run length
 
 
 def parse_pairs(items):
@@ -86,7 +87,6 @@ def main(argv=None):
     ap.add_argument("--change", required=True, type=Path, help="checkout of the change")
     ap.add_argument("--tag", required=True, help="names the BENCH file")
     ap.add_argument("--pairs", action="append", required=True, metavar="WORKLOAD=COUNT")
-    ap.add_argument("--seconds", type=float, default=40.0)
     ap.add_argument("--seed", type=int, default=9001,
                     help="seed of the first pair; pair k of the j-th workload runs "
                          "seed + 100 j + k")
@@ -94,7 +94,7 @@ def main(argv=None):
     ap.add_argument("--quick", action="store_true")
     args = ap.parse_args(argv)
     counts = parse_pairs(args.pairs)
-    seconds = 1.0 if args.quick else args.seconds
+    seconds = 1.0 if args.quick else SECONDS
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
 

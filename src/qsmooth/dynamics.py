@@ -392,7 +392,8 @@ def sample_outcomes(ops: StepOperators, u, r, noise):
     row of u. Returns (outcomes, t0 + t1) or (outcomes, mean).
     """
     if ops.unraveling == "jump":
-        # the traces of the two blocks, read off their G_0 rows
+        # the traces of the two blocks, read off their G_0 rows by the rule
+        # of `vector_trace`, which cannot take d from a one-row second block
         t0, t1 = math.sqrt(ops.dim) * u[0], math.sqrt(ops.dim) * u[ops.dim ** 2]
         total = t0 + t1
         return (noise < t1 / total).astype(float), total

@@ -68,16 +68,15 @@ class EffectSeries:
 _CLICK_ROUNDOFF = 1024.0
 
 
-def _adjoint_step_batch(ops: StepOperators, outcomes_col, effects, clicks=None):
+def _adjoint_step_batch(ops: StepOperators, outcomes_col, effects):
     """One backward step E <- F_y^dag[E] per column, as e <- S_y^T e.
 
     `effects` are coordinate columns (d^2, N). Photon counting applies S_0^T
-    to every column and S_1^T only to the click columns `clicks` (found from
-    the outcomes when not given), with the bits of the full product. Each
-    result is rescaled to the identity's trace, Tr E = d, so records of any
-    length stay inside floating-point range; returns (effects, the factors
-    divided out). A zero F_y^dag[E] (no state can produce y, e.g. a click at
-    eta = 0) stays zero.
+    to every column and S_1^T only to the columns that click, with the bits
+    of the full product. Each result is rescaled to the identity's trace,
+    Tr E = d, so records of any length stay inside floating-point range;
+    returns (effects, the factors divided out). A zero F_y^dag[E] (no state
+    can produce y, e.g. a click at eta = 0) stays zero.
 
     Only a click can pull an effect back to zero: M_0, K_0, U and the
     homodyne M_y are invertible. So a click column whose trace row is at
@@ -89,7 +88,7 @@ def _adjoint_step_batch(ops: StepOperators, outcomes_col, effects, clicks=None):
     else:
         n = ops.dim ** 2
         e = stack_products(ops.backward[:n], effects)
-        clicks = np.flatnonzero(outcomes_col >= 0.5) if clicks is None else clicks
+        clicks = (outcomes_col >= 0.5).nonzero()[0]
         if clicks.size:
             s1t, hit = ops.backward[n:], effects[:, clicks]
             pulled = stack_products(s1t, hit)
@@ -107,18 +106,13 @@ _adjoint_step = _adjoint_step_batch
 def backward_walk(ops: StepOperators, outcomes):
     """(s, effects (d^2, N), scale (N,)) for s = n, ..., 0 along the records
     `outcomes` (n, N): E(T) = identity, then one `_adjoint_step_batch` per
-    step, with `scale` the factor that step divided out. The click columns
-    of photon-counting records are found once, for all steps."""
+    step, with `scale` the factor that step divided out."""
     n, width = outcomes.shape
     e = np.broadcast_to(to_vector(np.eye(ops.dim), ops.basis)[:, None],
                         (ops.dim ** 2, width))
     yield n, e, np.ones(width)
-    clicks = [None] * n
-    if ops.unraveling == "jump":
-        steps, cols = np.nonzero(outcomes >= 0.5)  # in step order
-        clicks = np.split(cols, np.searchsorted(steps, np.arange(1, n)))
     for s in range(n - 1, -1, -1):
-        e, scale = _adjoint_step_batch(ops, outcomes[s], e, clicks[s])
+        e, scale = _adjoint_step_batch(ops, outcomes[s], e)
         yield s, e, scale
 
 

@@ -162,7 +162,7 @@ class TestCoordinateSeries:
             v = np.linalg.eigh(rho)[1][:, 0]
             effect = np.outer(v, v.conj()) + small * effect
         tr = trace_of(mm(rho, effect)).real
-        if tr <= 1e-300:  # no weight to normalize by: both routes must say so
+        if tr <= 1e-300:  # no weight to normalize by: the matrix route refuses
             with pytest.raises(ZeroTraceError):
                 swv_state(rho, effect)
             return
