@@ -68,8 +68,8 @@ def future_enumeration(p: ModelParams, past_steps=5, future_steps=6):
     live = weights > np.finfo(float).eps
     smoothed = smoothing.petz_fuchs_series(
         np.repeat(r[:, None], np.count_nonzero(live), axis=1), e[:, live])
-    mixture = to_matrix(smoothed @ weights[live], ops.basis)
-    return float(np.max(np.abs(mixture - to_matrix(r, ops.basis)))), 1e-10
+    mixture = to_matrix(smoothed @ weights[live])
+    return float(np.max(np.abs(mixture - to_matrix(r)))), 1e-10
 
 
 def closed_vs_recursive(p: ModelParams):
@@ -137,8 +137,8 @@ def completeness_residual(p: ModelParams):
     misses the identity at O(dt^2), which sets the tolerance."""
     ops = build_step_operators(p)
     y2 = ops.ctc * p.dt
-    a = np.eye(p.dim) - 0.5 * y2 + 0.125 * mm(y2, y2)
-    hom_defect = float(np.max(np.abs(mm(a, a) + y2 - np.eye(p.dim))))
+    a = np.eye(2) - 0.5 * y2 + 0.125 * mm(y2, y2)
+    hom_defect = float(np.max(np.abs(mm(a, a) + y2 - np.eye(2))))
     defect = max(ops.unconditional_map().completeness_defect(),
                  ops.dissipation_map().completeness_defect(), hom_defect)
     return defect, max(1e-12, 0.75 * (np.linalg.norm(ops.ctc, 2) * p.dt) ** 2)

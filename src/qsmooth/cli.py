@@ -127,6 +127,9 @@ def resolve_config(args):
         raise ConfigError(f"unraveling must be one of {UNRAVELINGS}, got {cfg['unraveling']!r}")
     if cfg["bob_unraveling"] not in UNRAVELINGS:
         raise ConfigError(f"bob_unraveling must be one of {UNRAVELINGS}")
+    for key in ("n_traj", "n_bob"):
+        if cfg[key] < 1:
+            raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
     if cfg["format"] not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {cfg['format']!r}")
     smoothers = tuple(s.strip() for s in str(cfg["smoothers"]).split(",") if s.strip())
@@ -229,7 +232,7 @@ def cmd_simulate(cfg):
     smoothed = res.smoothed_coords.T
     if "recursive" in cfg["smoothers"]:
         smoothed = to_vector(smoothing.petz_fuchs_recursive(
-            res.filtered, res.record, p, ops=ops), ops.basis).T
+            res.filtered, res.record, p, ops=ops)).T
     pur_f, bloch_f, _, _ = smoothing.qubit_statistics(res.filtered_coords.T)
     pur_s, bloch_s, low, _ = smoothing.qubit_statistics(smoothed)
     bloch_u = qmath.bloch_vector(unconditional_series(p)).T

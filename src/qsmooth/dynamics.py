@@ -16,12 +16,12 @@ the Gaussian ostensible noise dW is shifted by the quadrature mean and
 retained in the record).
 
 All propagation goes through one transfer-matrix core. In the orthonormal
-Hermitian basis of `hermitian_basis` (the Pauli basis for a qubit) each
-F_y is a real d^2 x d^2 matrix S_y acting on the real coordinate vector of
-a state, and the adjoint F_y^dag is its transpose. `StepOperators` builds
-the matrices once from its Kraus lists: S_0 and S_1 for photon counting,
-and S_y = A + y B + y^2 C for homodyne, where M_y is affine in y. Forward
-steps compute r <- S_y r, backward steps e <- S_y^T e.
+Pauli coordinates of `BASIS`, (1, X, Y, Z) / sqrt(2), each F_y is a real
+4 x 4 matrix S_y acting on the real coordinate vector of a state, and the
+adjoint F_y^dag is its transpose. `StepOperators` builds the matrices once
+from its Kraus lists: S_0 and S_1 for photon counting, and S_y = A + y B +
+y^2 C for homodyne, where M_y is affine in y. Forward steps compute
+r <- S_y r, backward steps e <- S_y^T e.
 
 The filtering engine is vectorized over a batch of trajectories; a single
 trajectory is the batch of size one. All per-trajectory randomness comes
@@ -40,7 +40,8 @@ import numpy as np
 
 from . import channels, qmath
 from .channels import CPMap
-from .qmath import GROUND, SIGMA_MINUS, SIGMA_PLUS, SIGMA_Y, dag, mm, trace_of
+from .qmath import (GROUND, IDENTITY2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z,
+                    ZERO_TRACE_TOL, dag, mm, trace_of)
 
 UNRAVELINGS = ("jump", "homodyne_x", "homodyne_y")
 _DEFAULT_PHI = {"homodyne_x": 0.0, "homodyne_y": np.pi / 2}
@@ -50,10 +51,10 @@ class InvalidParamsError(ValueError):
     """Model parameters fail validation."""
 
 
-def _validated_rho0(rho0, dim=2):
+def _validated_rho0(rho0):
     rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape != (dim, dim):
-        raise InvalidParamsError(f"rho0 must be {dim}x{dim}, got {rho0.shape}")
+    if rho0.shape != (2, 2):
+        raise InvalidParamsError(f"rho0 must be 2x2, got {rho0.shape}")
     if np.max(np.abs(rho0 - dag(rho0))) > 1e-12:
         raise InvalidParamsError("rho0 must be Hermitian")
     if qmath.min_eigenvalue(rho0) < -qmath.PSD_CLAMP_TOL:
@@ -101,6 +102,8 @@ class ModelParams:
             raise InvalidParamsError("dt must be positive")
         if self.t_final < self.dt:
             raise InvalidParamsError("t_final must be at least dt")
+        if self.seed < 0:
+            raise InvalidParamsError(f"seed must be nonnegative, got {self.seed}")
         # Exact square roots of 1 - L^dag L dt require the arguments PSD.
         rate_meas = self.eta * self.gamma * (self.nbar + 1.0)
         rate_unmeas = self.gamma * self.nbar + (1.0 - self.eta) * self.gamma * (self.nbar + 1.0)
@@ -111,10 +114,6 @@ class ModelParams:
             object.__setattr__(self, "phi", _DEFAULT_PHI.get(self.unraveling))
         rho0 = GROUND if self.rho0 is None else self.rho0
         object.__setattr__(self, "rho0", _validated_rho0(rho0))
-
-    @property
-    def dim(self):
-        return self.rho0.shape[0]
 
     @property
     def n_steps(self):
@@ -143,63 +142,49 @@ def _expm_hermitian(h, scale):
 
 # -- the transfer-matrix core ---------------------------------------------------
 
-def hermitian_basis(d):
-    """Orthonormal Hermitian basis G_a, Tr[G_a G_b] = delta_ab, shape (d^2, d, d).
+SQRT2 = math.sqrt(2.0)
 
-    G_0 = 1/sqrt(d), then one symmetric and one antisymmetric matrix per
-    off-diagonal pair, then the traceless diagonals; for d = 2 this is
-    (1, X, Y, Z) / sqrt(2).
-    """
-    out = [np.eye(d, dtype=complex) / np.sqrt(d)]
-    for j in range(d):
-        for k in range(j + 1, d):
-            for upper, lower in ((1.0, 1.0), (-1j, 1j)):
-                g = np.zeros((d, d), dtype=complex)
-                g[j, k], g[k, j] = upper / np.sqrt(2), lower / np.sqrt(2)
-                out.append(g)
-    for l in range(1, d):
-        diag = np.zeros(d)
-        diag[:l], diag[l] = 1.0, -l
-        out.append(np.diag(diag / np.sqrt(l * (l + 1))).astype(complex))
-    return np.array(out)
+# The orthonormal Hermitian basis G_a, Tr[G_a G_b] = delta_ab, of the qubit
+# coordinates: (1, X, Y, Z) / sqrt(2), shape (4, 2, 2).
+BASIS = np.array([IDENTITY2, SIGMA_X, SIGMA_Y, SIGMA_Z]) / SQRT2
+BASIS.setflags(write=False)
 
 
-def to_vector(m, basis):
-    """Real coordinates Tr[G_a m] of Hermitian matrices, shape (..., d^2)."""
-    return np.einsum("aij,...ji->...a", basis, m).real
+def to_vector(m):
+    """Real coordinates Tr[G_a m] of Hermitian 2x2 matrices, shape (..., 4)."""
+    return np.einsum("aij,...ji->...a", BASIS, m).real
 
 
-def to_matrix(r, basis):
-    """Matrices sum_a r_a G_a from coordinates, shape (..., d, d).
+def to_matrix(r):
+    """Matrices sum_a r_a G_a from coordinates, shape (..., 2, 2).
 
     Explicit multiply-adds, so an entry's bits do not depend on the shape
     of the batch it sits in.
     """
     r = np.asarray(r)[..., None, None]
-    out = r[..., 0, :, :] * basis[0]
-    for a in range(1, basis.shape[0]):
-        out += r[..., a, :, :] * basis[a]
+    out = r[..., 0, :, :] * BASIS[0]
+    for a in range(1, len(BASIS)):
+        out += r[..., a, :, :] * BASIS[a]
     return out
 
 
 def matrix_property(field):
-    """Cached property: the coordinate rows in `field` as matrices in `basis`."""
-    return functools.cached_property(lambda self: to_matrix(getattr(self, field), self.basis))
+    """Cached property: the coordinate rows in `field` as matrices."""
+    return functools.cached_property(lambda self: to_matrix(getattr(self, field)))
 
 
 def vector_trace(r):
-    """Tr of the matrices with coordinates r (d^2, ...); only G_0 has a trace."""
-    return math.sqrt(math.isqrt(r.shape[0])) * r[0]
+    """Tr of the matrices with coordinates r (4, ...); only G_0 has a trace."""
+    return SQRT2 * r[0]
 
 
-def transfer_matrix(cpmap, basis):
+def transfer_matrix(cpmap):
     """Real matrix S of a CP map, vec(F(m)) = S vec(m); F^dag has S^T."""
-    return np.stack([to_vector(channels.apply(cpmap, g), basis) for g in basis],
-                    axis=-1)
+    return np.stack([to_vector(channels.apply(cpmap, g)) for g in BASIS], axis=-1)
 
 
 def stack_products(stack, r):
-    """stack @ r: (m, N) from (m, d^2) and coordinate columns r (d^2, N).
+    """stack @ r: (m, N) from (m, 4) and coordinate columns r (4, N).
 
     Explicit multiply-adds, so a column's bits do not depend on the batch
     width (a BLAS product may block differently as N changes). Each
@@ -216,9 +201,9 @@ def stack_products(stack, r):
 class StepOperators:
     """Discretized one-step operators for one unraveling choice.
 
-    `c` is the monitored (detected) collapse operator; `k` holds the
-    dissipation Kraus list for every unmeasured channel, with k[0] the
-    exact no-event square root.
+    All operators are 2x2: the model is one qubit. `c` is the monitored
+    (detected) collapse operator; `k` holds the dissipation Kraus list for
+    every unmeasured channel, with k[0] the exact no-event square root.
 
     `blocks` are the transfer matrices F_y is assembled from: (S_0, S_1)
     for photon counting, (A, B, C) with S_y = A + y B + y^2 C for homodyne.
@@ -240,7 +225,6 @@ class StepOperators:
     xquad: Optional[np.ndarray] = field(init=False)
     _hom_base: Optional[np.ndarray] = field(init=False)
     _hom_lin: Optional[np.ndarray] = field(init=False)
-    basis: np.ndarray = field(init=False)
     blocks: tuple = field(init=False)
     forward: np.ndarray = field(init=False)
     backward: np.ndarray = field(init=False)
@@ -249,18 +233,18 @@ class StepOperators:
         if self.unraveling not in UNRAVELINGS:
             raise ValueError(
                 f"unraveling must be one of {UNRAVELINGS}, got {self.unraveling!r}")
+        for op in (self.u, self.c, *self.k):
+            if np.shape(op) != (2, 2):
+                raise ValueError(f"step operators must be 2x2, got shape {np.shape(op)}")
         ctc = mm(dag(self.c), self.c)
         object.__setattr__(self, "ctc", ctc)
-        eye = np.eye(self.dim, dtype=complex)
         object.__setattr__(self, "m1", np.sqrt(self.dt) * self.c)
-        object.__setattr__(self, "m0", qmath.hermitian_sqrt(eye - ctc * self.dt))
-        basis = hermitian_basis(self.dim)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "m0", qmath.hermitian_sqrt(IDENTITY2 - ctc * self.dt))
         if self.unraveling == "jump":
             object.__setattr__(self, "xquad", None)
             object.__setattr__(self, "_hom_base", None)
             object.__setattr__(self, "_hom_lin", None)
-            blocks = tuple(transfer_matrix(self.conditional_map(y), basis) for y in (0, 1))
+            blocks = tuple(transfer_matrix(self.conditional_map(y)) for y in (0, 1))
             extra = ()
         else:
             if self.phi is None:
@@ -268,26 +252,22 @@ class StepOperators:
             ph = np.exp(1j * self.phi)
             object.__setattr__(self, "xquad", self.c * ph + dag(self.c) * np.conj(ph))
             y2 = ctc * self.dt
-            object.__setattr__(self, "_hom_base", eye - 0.5 * y2 + 0.125 * mm(y2, y2))
+            object.__setattr__(self, "_hom_base", IDENTITY2 - 0.5 * y2 + 0.125 * mm(y2, y2))
             object.__setattr__(self, "_hom_lin", self.c * ph * self.dt)
             # F_y is quadratic in y: read A, B, C off three evaluations at
             # the size of a typical current, 1/sqrt(dt). At y = +-1 the
             # O(dt^2) term C would come out of an O(1) difference, and S_y
             # would miss F_y by up to 3e-12 at realistic currents.
             scale = 1.0 / np.sqrt(self.dt)
-            s_m, s_0, s_p = (transfer_matrix(self.conditional_map(y * scale), basis)
+            s_m, s_0, s_p = (transfer_matrix(self.conditional_map(y * scale))
                              for y in (-1.0, 0.0, 1.0))
             blocks = (s_0, (s_p - s_m) / (2.0 * scale),
                       (0.5 * (s_p + s_m) - s_0) / scale ** 2)
             mean = channels.adjoint_apply(self.dissipation_map(), self.xquad)
-            extra = (to_vector(mean, basis)[None, :],)
+            extra = (to_vector(mean)[None, :],)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "forward", np.vstack(blocks + extra))
         object.__setattr__(self, "backward", np.vstack([b.T for b in blocks]))
-
-    @property
-    def dim(self):
-        return self.u.shape[0]
 
     @classmethod
     def from_operators(cls, h, c, unmeasured, dt, unraveling, phi=None):
@@ -350,8 +330,7 @@ class StepOperators:
         Photon counting picks the block of the outcome; homodyne sums the
         polynomial in y. Applied to the stacked blocks it gives S_y.
         """
-        n = self.dim ** 2
-        parts = [u[i * n:(i + 1) * n] for i in range(len(self.blocks))]
+        parts = [u[4 * i:4 * (i + 1)] for i in range(len(self.blocks))]
         y = np.asarray(y, dtype=float)
         if self.unraveling == "jump":
             return np.where(y >= 0.5, parts[1], parts[0])
@@ -392,9 +371,7 @@ def sample_outcomes(ops: StepOperators, u, r, noise):
     row of u. Returns (outcomes, t0 + t1) or (outcomes, mean).
     """
     if ops.unraveling == "jump":
-        # the traces of the two blocks, read off their G_0 rows by the rule
-        # of `vector_trace`, which cannot take d from a one-row second block
-        t0, t1 = math.sqrt(ops.dim) * u[0], math.sqrt(ops.dim) * u[ops.dim ** 2]
+        t0, t1 = vector_trace(u), vector_trace(u[4:])
         total = t0 + t1
         return (noise < t1 / total).astype(float), total
     mean = u[-1] / vector_trace(r)
@@ -402,7 +379,7 @@ def sample_outcomes(ops: StepOperators, u, r, noise):
 
 
 def forward_step(ops: StepOperators, stack, r, noise):
-    """One forward step S_y r of every column of r (d^2, N), with y drawn by
+    """One forward step S_y r of every column of r (4, N), with y drawn by
     `sample_outcomes`; `stack` is `ops.forward` or one built from it.
 
     Photon counting is click-sparse: every column needs S_0 r and only the
@@ -415,27 +392,26 @@ def forward_step(ops: StepOperators, stack, r, noise):
         u = stack_products(stack, r)
         y, summary = sample_outcomes(ops, u, r, noise)
         return y, ops.combine(u, y), summary
-    n = ops.dim ** 2
-    u = stack_products(stack[:n + 1], r)
+    u = stack_products(stack[:5], r)
     y, summary = sample_outcomes(ops, u, r, noise)
-    out = u[:n]
+    out = u[:4]
     clicks = y.nonzero()[0]  # y is 0.0 or 1.0
     if clicks.size:
-        out[:, clicks] = stack_products(stack[n:2 * n], r[:, clicks])
+        out[:, clicks] = stack_products(stack[4:8], r[:, clicks])
     return y, out, summary
 
 
 # -- unconditional evolution ----------------------------------------------
 
 def unconditional_series(p: ModelParams):
-    """Unconditional evolution on the full grid, shape (n+1, d, d)."""
+    """Unconditional evolution on the full grid, shape (n+1, 2, 2)."""
     ops = build_step_operators(p)
-    s_mat = transfer_matrix(ops.unconditional_map(), ops.basis)
-    r = np.empty((p.n_steps + 1, p.dim ** 2))
-    r[0] = to_vector(p.rho0, ops.basis)
+    s_mat = transfer_matrix(ops.unconditional_map())
+    r = np.empty((p.n_steps + 1, 4))
+    r[0] = to_vector(p.rho0)
     for s in range(p.n_steps):
         r[s + 1] = s_mat @ r[s]
-    return to_matrix(r, ops.basis)
+    return to_matrix(r)
 
 
 # -- records and filtering --------------------------------------------------
@@ -469,7 +445,7 @@ class MeasurementRecord:
 class FilterResult:
     """Forward filtering output along one record.
 
-    `coords` (n+1, d^2) are the normalized filtered states in `basis`, and
+    `coords` (n+1, 4) are the normalized filtered states in `BASIS`, and
     `states` the same as matrices; `log_weight` accumulates the per-step
     outcome likelihoods, so exp(log_weight[i]) * states[i] is the
     unnormalized filtered state (for photon counting its trace is the
@@ -480,7 +456,6 @@ class FilterResult:
     record: MeasurementRecord
     coords: np.ndarray
     log_weight: np.ndarray
-    basis: np.ndarray
     states = matrix_property("coords")
 
     @property
@@ -513,9 +488,9 @@ def draw_noise(master_seed, indices, n, unraveling, dt, domain=0):
 def filter_batch(p: ModelParams, ops: StepOperators, traj_indices):
     """Filter a batch of trajectories in lockstep.
 
-    Returns (outcomes (n, N), noise (n, N) or None, states (n+1, d^2, N),
+    Returns (outcomes (n, N), noise (n, N) or None, states (n+1, 4, N),
     log_weight (n+1, N)), time-major with the trajectory axis last; states
-    are coordinate columns in `ops.basis`. Trajectory i consumes only the
+    are coordinate columns. Trajectory i consumes only the
     stream derived from (p.seed, traj_indices[i]), so results do not depend
     on how trajectories are grouped into batches.
     """
@@ -523,18 +498,18 @@ def filter_batch(p: ModelParams, ops: StepOperators, traj_indices):
     idx = list(traj_indices)
     nb = len(idx)
     noise = draw_noise(p.seed, idx, n, p.unraveling, p.dt)
-    states = np.empty((n + 1, p.dim ** 2, nb))
+    states = np.empty((n + 1, 4, nb))
     log_weight = np.zeros((n + 1, nb))
     outcomes = np.empty((n, nb))
-    states[0] = to_vector(p.rho0, ops.basis)[:, None]
+    states[0] = to_vector(p.rho0)[:, None]
     r = states[0]
 
     for s in range(n):
         outcomes[s], u, _ = forward_step(ops, ops.forward, r, noise[s])
         w = vector_trace(u)
-        if w.min() <= 1e-300:
+        if w.min() <= ZERO_TRACE_TOL:
             raise qmath.ZeroTraceError(f"filtered state lost its weight at step {s}, "
-                                       f"trajectory {idx[int(np.argmax(w <= 1e-300))]}")
+                                       f"trajectory {idx[int(np.argmax(w <= ZERO_TRACE_TOL))]}")
         np.add(log_weight[s], np.log(w), out=log_weight[s + 1])
         r = np.divide(u, w, out=states[s + 1])
     return outcomes, (noise if p.is_homodyne else None), states, log_weight
@@ -552,5 +527,4 @@ def filter_trajectory(p: ModelParams, traj_index=0,
     record = MeasurementRecord(
         unraveling=p.unraveling, dt=p.dt, outcomes=outcomes[:, 0],
         ostensible_noise=None if noise is None else noise[:, 0])
-    return FilterResult(p, record, coords=states[:, :, 0], log_weight=logw[:, 0],
-                        basis=ops.basis)
+    return FilterResult(p, record, coords=states[:, :, 0], log_weight=logw[:, 0])

@@ -68,8 +68,6 @@ def run_ensemble(spec: EnsembleSpec) -> EnsembleResult:
     (params.seed, i) and chunks are reduced in index order.
     """
     p = spec.params
-    if p.dim != 2:
-        raise ValueError("ensemble statistics assume a qubit model")
     ops = build_step_operators(p)
     n = p.n_steps
     times = p.times
@@ -98,7 +96,7 @@ def run_ensemble(spec: EnsembleSpec) -> EnsembleResult:
         # buffer of _BLOCK time steps; the filtered and smoothed statistics
         # then run once per block, over all of its (time, trajectory) pairs.
         pur = np.empty((2, nb, n + 1))
-        buf = np.empty((p.dim ** 2, _BLOCK, nb))
+        buf = np.empty((4, _BLOCK, nb))
         walk = smoothing.backward_walk(ops, outcomes)
         for stop in range(n + 1, 0, -_BLOCK):
             first = max(stop - _BLOCK, 0)  # the block holds times first .. stop - 1

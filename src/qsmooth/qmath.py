@@ -23,6 +23,10 @@ SUPPORT_RTOL = 1e-12
 # sqrt(eps), so the spectral routines floor them to exact zeros.
 RANK_FLOOR_RTOL = 1e-14
 
+# A trace or weight at or below this is zero: there is nothing to
+# normalize by.
+ZERO_TRACE_TOL = 1e-300
+
 
 class NotPSDError(ValueError):
     """Matrix has an eigenvalue below the PSD clamp tolerance."""
@@ -106,7 +110,7 @@ def pinv_sqrt(m, tol=None):
 def purity(rho):
     """Tr[rho^2] of the normalized state rho / Tr[rho]."""
     t = trace_of(rho).real
-    if t <= 1e-300:
+    if t <= ZERO_TRACE_TOL:
         raise ZeroTraceError("state has (near-)zero trace")
     return float(trace_of(mm(rho, rho)).real) / (t * t)
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import channels, qmath
 from .dynamics import (
+    SQRT2,
     MeasurementRecord,
     ModelParams,
     StepOperators,
@@ -38,10 +39,7 @@ from .dynamics import (
     to_vector,
     vector_trace,
 )
-from .qmath import ZeroTraceError, mm, trace_of
-
-
-_SQRT2 = np.sqrt(2.0)
+from .qmath import IDENTITY2, ZERO_TRACE_TOL, ZeroTraceError, mm, trace_of
 
 
 class DegenerateWeightsError(RuntimeError):
@@ -52,14 +50,13 @@ class DegenerateWeightsError(RuntimeError):
 class EffectSeries:
     """Retrofiltered effects on the grid, trace-rescaled for stability.
 
-    `coords` (n+1, d^2) are the effects in `basis`, `effects` the same as
+    `coords` (n+1, 4) are the effects in `BASIS`, `effects` the same as
     matrices. effects[i] * exp(log_scale[i]) is the raw pulled-back effect;
     the rescaling cancels in every normalized smoothed state.
     """
 
     coords: np.ndarray
     log_scale: np.ndarray
-    basis: np.ndarray
     effects = matrix_property("coords")
 
 
@@ -71,10 +68,10 @@ _CLICK_ROUNDOFF = 1024.0
 def _adjoint_step_batch(ops: StepOperators, outcomes_col, effects):
     """One backward step E <- F_y^dag[E] per column, as e <- S_y^T e.
 
-    `effects` are coordinate columns (d^2, N). Photon counting applies S_0^T
+    `effects` are coordinate columns (4, N). Photon counting applies S_0^T
     to every column and S_1^T only to the columns that click, with the bits
     of the full product. Each result is rescaled to the identity's trace,
-    Tr E = d, so records of any length stay inside floating-point range;
+    Tr E = 2, so records of any length stay inside floating-point range;
     returns (effects, the factors divided out). A zero F_y^dag[E] (no state
     can produce y, e.g. a click at eta = 0) stays zero.
 
@@ -86,16 +83,15 @@ def _adjoint_step_batch(ops: StepOperators, outcomes_col, effects):
     if ops.unraveling != "jump":
         e = ops.combine(stack_products(ops.backward, effects), outcomes_col)
     else:
-        n = ops.dim ** 2
-        e = stack_products(ops.backward[:n], effects)
+        e = stack_products(ops.backward[:4], effects)
         clicks = (outcomes_col >= 0.5).nonzero()[0]
         if clicks.size:
-            s1t, hit = ops.backward[n:], effects[:, clicks]
+            s1t, hit = ops.backward[4:], effects[:, clicks]
             pulled = stack_products(s1t, hit)
             roundoff = _CLICK_ROUNDOFF * np.finfo(float).eps * (np.abs(s1t[0]) @ np.abs(hit))
             pulled[:, pulled[0] <= roundoff] = 0.0
             e[:, clicks] = pulled
-    scale = vector_trace(e) / ops.dim
+    scale = vector_trace(e) / 2
     return np.divide(e, scale, out=e, where=scale != 0.0), scale  # a zero effect stays
 
 
@@ -104,12 +100,11 @@ _adjoint_step = _adjoint_step_batch
 
 
 def backward_walk(ops: StepOperators, outcomes):
-    """(s, effects (d^2, N), scale (N,)) for s = n, ..., 0 along the records
+    """(s, effects (4, N), scale (N,)) for s = n, ..., 0 along the records
     `outcomes` (n, N): E(T) = identity, then one `_adjoint_step_batch` per
     step, with `scale` the factor that step divided out."""
     n, width = outcomes.shape
-    e = np.broadcast_to(to_vector(np.eye(ops.dim), ops.basis)[:, None],
-                        (ops.dim ** 2, width))
+    e = np.broadcast_to(to_vector(IDENTITY2)[:, None], (4, width))
     yield n, e, np.ones(width)
     for s in range(n - 1, -1, -1):
         e, scale = _adjoint_step_batch(ops, outcomes[s], e)
@@ -129,7 +124,7 @@ def retrofilter(record: MeasurementRecord, p: ModelParams,
         raise ZeroTraceError(f"no state at time index {dead[0]} can produce the record")
     log_scale = np.cumsum([np.log(scale[0]) for _, _, scale in walk])[::-1]
     return EffectSeries(coords=np.array([e[:, 0] for _, e, _ in walk[::-1]]),
-                        log_scale=log_scale, basis=ops.basis)
+                        log_scale=log_scale)
 
 
 # -- smoothed-state estimators ----------------------------------------------
@@ -142,12 +137,12 @@ def petz_fuchs(filtered, effect):
     """
     rho = np.asarray(filtered, dtype=complex)
     tr = trace_of(rho).real
-    if tr <= 1e-300:
+    if tr <= ZERO_TRACE_TOL:
         raise ZeroTraceError("filtered state has (near-)zero trace")
     root = qmath.hermitian_sqrt(rho / tr)
     out = mm(root, mm(np.asarray(effect, dtype=complex), root))
     w = trace_of(out).real
-    if w <= 1e-300:
+    if w <= ZERO_TRACE_TOL:
         raise ZeroTraceError("record is inconsistent with the filtered state")
     return out / w
 
@@ -162,7 +157,7 @@ def _dot3(a, b):
 def qubit_sandwich(r, e):
     """Coordinates of sqrt(rho) E sqrt(rho), rho = r / Tr r, for qubit columns.
 
-    r (4, ...) and e (4, ...) or (4, 1) are coordinates in hermitian_basis(2),
+    r (4, ...) and e (4, ...) or (4, 1) are coordinates in `BASIS`,
     coordinate on the leading axis. The root, sqrt(rho) = q0 + q.sigma in
     Pauli form, is the closed form of `qmath.sqrt_psd_stack`; with
     E = e0 + e.sigma the sandwich, linear in E, is q0^2 e0 + 2 q0 q.e +
@@ -194,8 +189,8 @@ def qubit_statistics(s):
     sum_a s_a^2, sqrt(2) s, (s0 - |s|) / sqrt(2) and |sqrt(2) s0 - 1|. The
     Bloch vectors keep the coordinate axis in front, (3, ...)."""
     vec2 = _dot3(s[1:], s[1:])
-    return (s[0] * s[0] + vec2, _SQRT2 * s[1:],
-            (s[0] - np.sqrt(vec2)) / _SQRT2, np.abs(_SQRT2 * s[0] - 1.0))
+    return (s[0] * s[0] + vec2, SQRT2 * s[1:],
+            (s[0] - np.sqrt(vec2)) / SQRT2, np.abs(vector_trace(s) - 1.0))
 
 
 def petz_fuchs_series(r, e, time0=0, traj0=0):
@@ -204,8 +199,8 @@ def petz_fuchs_series(r, e, time0=0, traj0=0):
     naming the latest such time and its lowest trajectory, from time0, traj0.
     """
     sm = qubit_sandwich(r, e)
-    w = _SQRT2 * sm[0]  # Tr[rho E]
-    bad = w <= 1e-300
+    w = vector_trace(sm)  # Tr[rho E]
+    bad = w <= ZERO_TRACE_TOL
     if np.any(bad):
         k = int(np.flatnonzero(bad.reshape(len(bad), -1).any(axis=1))[-1])
         raise ZeroTraceError("record is inconsistent with the filtered state at time "
@@ -232,7 +227,7 @@ def petz_fuchs_recursive(filtered_states, record: MeasurementRecord,
         fmap = ops.conditional_map(record.outcomes[s])
         rec = channels.petz_recover(fmap, states[s], last)
         tr = trace_of(rec).real
-        if tr <= 1e-300:
+        if tr <= ZERO_TRACE_TOL:
             raise ZeroTraceError(f"recovery produced zero weight at step {s}")
         last = rec / tr
         out[s] = last
@@ -254,7 +249,7 @@ def swv_state(filtered, effect):
     rho = np.asarray(filtered, dtype=complex)
     e = np.asarray(effect, dtype=complex)
     tr = trace_of(mm(rho, e)).real
-    if tr <= 1e-300:
+    if tr <= ZERO_TRACE_TOL:
         raise ZeroTraceError("Tr[rho E] vanishes")
     state = (mm(rho, e) + mm(e, rho)) / (2.0 * tr)
     return SwvOutcome(state=state, min_eigenvalue=qmath.min_eigenvalue(state))
@@ -268,7 +263,7 @@ def swv_purity_series(r, e):
     with Tr[rho E] = sum_a r_a e_a."""
     tr = r[0] * e[0] + _dot3(r[1:], e[1:])
     s = np.empty(np.broadcast_shapes(r.shape, e.shape))
-    s[0], s[1:] = 1.0 / _SQRT2, (r[0] * e[1:] + e[0] * r[1:]) / (_SQRT2 * tr)
+    s[0], s[1:] = 1.0 / SQRT2, (r[0] * e[1:] + e[0] * r[1:]) / (SQRT2 * tr)
     purity, _, low, _ = qubit_statistics(s)
     return purity, low
 
@@ -278,13 +273,12 @@ def swv_purity_series(r, e):
 @dataclass(eq=False)
 class SmoothingResult:
     """Forward filtering plus backward smoothing along one record. The
-    `*_coords` series are (n+1, d^2) coordinates in `basis`; `filtered`,
+    `*_coords` series are (n+1, 4) coordinates in `BASIS`; `filtered`,
     `effects` and `smoothed` give them as matrices."""
 
     params: ModelParams
     record: MeasurementRecord
     times: np.ndarray
-    basis: np.ndarray
     filtered_coords: np.ndarray
     log_weight: np.ndarray
     effect_coords: np.ndarray
@@ -314,7 +308,7 @@ def smooth_trajectory(p: ModelParams, traj_index=0,
     eff = retrofilter(fr.record, p, ops=ops)
     smoothed = petz_fuchs_series(fr.coords.T, eff.coords.T, traj0=traj_index)
     return SmoothingResult(
-        params=p, record=fr.record, times=fr.times, basis=ops.basis,
+        params=p, record=fr.record, times=fr.times,
         filtered_coords=fr.coords, log_weight=fr.log_weight,
         effect_coords=eff.coords, effect_log_scale=eff.log_scale, smoothed_coords=smoothed.T,
         purity_filtered=qubit_statistics(fr.coords.T)[0],
@@ -344,11 +338,10 @@ def _true_state_stack(alice: StepOperators, bob: StepOperators, outcome):
     The second observer's blocks are each followed by S^alice_y; a mean row
     stays as it is, since it reads the state before either measurement.
     """
-    n = bob.dim ** 2
-    k = len(bob.blocks) * n
+    k = len(bob.blocks) * 4
     lead = alice.transfer(outcome)
-    blocks = np.einsum("ij,bjk->bik", lead, bob.forward[:k].reshape(-1, n, n))
-    return np.vstack([blocks.reshape(k, n), bob.forward[k:]])
+    blocks = np.einsum("ij,bjk->bik", lead, bob.forward[:k].reshape(-1, 4, 4))
+    return np.vstack([blocks.reshape(k, 4), bob.forward[k:]])
 
 
 @dataclass(eq=False)
@@ -367,11 +360,11 @@ class GwResult:
     n_bob: int
 
 
-def _combine_true_states(true_states, log_v, effect_vectors, basis):
+def _combine_true_states(true_states, log_v, effect_vectors):
     """Self-normalized mixtures of true states against the effects.
 
     true_states: (T, 4, N) normalized qubit states and effect_vectors:
-    (T, 4) effects, both as coordinates in `basis`; log_v: (T, N) log
+    (T, 4) effects, both as coordinates; log_v: (T, N) log
     importance weights. Returns (gw, gw_pf, ess).
     """
     n_t = true_states.shape[0]
@@ -389,7 +382,7 @@ def _combine_true_states(true_states, log_v, effect_vectors, basis):
         gw[t] = np.einsum("n,an->a", w, r) / wsum
         pf = np.einsum("n,an->a", v, qubit_sandwich(r, effect_vectors[t][:, None]))
         gw_pf[t] = pf / vector_trace(pf)
-    return to_matrix(gw, basis), to_matrix(gw_pf, basis), ess
+    return to_matrix(gw), to_matrix(gw_pf), ess
 
 
 def gw_smooth(record: MeasurementRecord, p: ModelParams, bob_unraveling,
@@ -407,14 +400,13 @@ def gw_smooth(record: MeasurementRecord, p: ModelParams, bob_unraveling,
         raise ValueError(
             f"record has {len(record)} steps but the grid has {p.n_steps}")
     alice, bob = _true_state_operators(p, bob_unraveling)
-    ops = build_step_operators(p)
-    eff = retrofilter(record, p, ops=ops)
+    eff = retrofilter(record, p)
     n = len(record)
 
     noise = draw_noise(seed, range(n_bob), n, bob.unraveling, p.dt, domain=1)
     log_v = np.zeros((n + 1, n_bob))
-    true_states = np.empty((n + 1, ops.dim ** 2, n_bob))
-    true_states[0] = to_vector(p.rho0, ops.basis)[:, None]
+    true_states = np.empty((n + 1, 4, n_bob))
+    true_states[0] = to_vector(p.rho0)[:, None]
     r = true_states[0]
     for s in range(n):
         stack = _true_state_stack(alice, bob, record.outcomes[s])
@@ -432,7 +424,7 @@ def gw_smooth(record: MeasurementRecord, p: ModelParams, bob_unraveling,
             log_v[s + 1] = log_v[s] + np.log(tr) + log_q_ratio
         r = np.divide(u, tr, out=true_states[s + 1])
 
-    gw, gw_pf, ess = _combine_true_states(true_states, log_v, eff.coords, ops.basis)
+    gw, gw_pf, ess = _combine_true_states(true_states, log_v, eff.coords)
     if np.min(ess) < 2.0:
         raise DegenerateWeightsError(
             f"effective sample size {np.min(ess):.2f} < 2 "
@@ -454,18 +446,16 @@ def gw_enumerate(record: MeasurementRecord, p: ModelParams):
     if p.eta < 1.0:
         raise ValueError("enumeration requires eta = 1")
     alice, bob = _true_state_operators(p, "jump")
-    ops = build_step_operators(p)
-    eff = retrofilter(record, p, ops=ops)
+    eff = retrofilter(record, p)
     n = len(record)
 
     # branch states carry their joint likelihood in the trace; the two
     # unobserved outcomes of a branch stay adjacent
-    d2 = ops.dim ** 2
-    per_time = [to_vector(p.rho0, ops.basis)[:, None]]
+    per_time = [to_vector(p.rho0)[:, None]]
     for s in range(n):
         u = stack_products(_true_state_stack(alice, bob, record.outcomes[s]), per_time[-1])
-        per_time.append(u.reshape(2, d2, -1).transpose(1, 2, 0).reshape(d2, -1))
-    filtered = to_matrix(np.array([b.sum(axis=1) for b in per_time]), ops.basis)
+        per_time.append(u.reshape(2, 4, -1).transpose(1, 2, 0).reshape(4, -1))
+    filtered = to_matrix(np.array([b.sum(axis=1) for b in per_time]))
 
     # Each leaf carries its ancestor at every time; repeating an ancestor
     # once per leaf scales all weights at that time alike, which the
@@ -474,7 +464,7 @@ def gw_enumerate(record: MeasurementRecord, p: ModelParams):
     branches = np.stack([per_time[t][:, leaves >> (n - t)] for t in range(n + 1)])
     traces = vector_trace(branches.swapaxes(0, 1))
     gw, gw_pf, _ = _combine_true_states(
-        branches / traces[:, None], np.log(traces), eff.coords, ops.basis)
+        branches / traces[:, None], np.log(traces), eff.coords)
     ess = np.full(n + 1, np.nan)
     return GwResult(times=p.times, gw=gw, gw_pf=gw_pf, ess=ess,
                     n_bob=2 ** n), filtered

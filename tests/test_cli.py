@@ -153,6 +153,25 @@ class TestConfigFile:
         assert run(["simulate", "--config", "/nonexistent/x.cfg"]) == 2
 
 
+class TestIntegerRange:
+    @pytest.mark.parametrize("args", [
+        ["ensemble", "--n-traj", "0"],
+        ["simulate", "--smoothers", "gw", "--n-bob", "0"],
+        ["simulate", "--smoothers", "gw", "--n-bob", "-2"],
+        *([command, "--seed", "-1"]
+          for command in ("simulate", "ensemble", "validate", "classical-demo")),
+    ], ids=" ".join)
+    def test_out_of_range_is_config_error(self, args, tmp_path, capsys):
+        assert run(args + ["--t-final", "0.01", "--out", str(tmp_path / "x")]) == 2
+        assert "qsmooth: config error:" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_single_second_observer_sample_is_numerical_failure(self, tmp_path, capsys):
+        # one sample is in range, but its effective sample size is 1 < 2
+        assert run(["simulate", "--smoothers", "gw", "--n-bob", "1", "--t-final", "0.01",
+                    "--out", str(tmp_path / "x")]) == 3
+
+
 class TestEnsembleCommand:
     def test_header_and_single_trajectory_match(self, tmp_path, capsys):
         sim = tmp_path / "sim.csv"

@@ -5,6 +5,7 @@ import pytest
 
 from qsmooth import channels, dynamics, qmath
 from qsmooth.dynamics import (
+    BASIS,
     UNRAVELINGS,
     InvalidParamsError,
     ModelParams,
@@ -12,7 +13,6 @@ from qsmooth.dynamics import (
     build_step_operators,
     filter_batch,
     filter_trajectory,
-    hermitian_basis,
     stack_products,
     to_matrix,
     to_vector,
@@ -169,9 +169,8 @@ class TestUnconditional:
         # is linear, so it runs on coordinates: column b of its real matrix
         # is the generator applied to basis element b.
         p = params()
-        basis = hermitian_basis(2)
-        gen = np.stack([to_vector(_liouville(p, g), basis) for g in basis], axis=-1)
-        x = to_vector(p.rho0, basis)
+        gen = np.stack([to_vector(_liouville(p, g)) for g in BASIS], axis=-1)
+        x = to_vector(p.rho0)
         h = 1e-4
         for _ in range(int(round(p.t_final / h))):
             k1 = gen @ x
@@ -180,7 +179,7 @@ class TestUnconditional:
             k4 = gen @ (x + h * k3)
             x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         ours = unconditional_series(p)[-1]
-        assert np.max(np.abs(ours - to_matrix(x, basis))) < 5e-4
+        assert np.max(np.abs(ours - to_matrix(x))) < 5e-4
 
 
 class TestSampleStep:
@@ -254,37 +253,28 @@ class TestTransferCore:
             else:
                 y = float(rng.integers(0, 2))
             fmap = ops.conditional_map(y)
-            fwd = ops.combine(stack_products(ops.forward, to_vector(rho, ops.basis)[:, None]), [y])
-            bwd = ops.combine(stack_products(ops.backward, to_vector(e, ops.basis)[:, None]), [y])
-            assert np.max(np.abs(to_matrix(fwd[:, 0], ops.basis)
+            fwd = ops.combine(stack_products(ops.forward, to_vector(rho)[:, None]), [y])
+            bwd = ops.combine(stack_products(ops.backward, to_vector(e)[:, None]), [y])
+            assert np.max(np.abs(to_matrix(fwd[:, 0])
                                  - channels.apply(fmap, rho))) < 1e-13
-            assert np.max(np.abs(to_matrix(bwd[:, 0], ops.basis)
+            assert np.max(np.abs(to_matrix(bwd[:, 0])
                                  - channels.adjoint_apply(fmap, e))) < 1e-13
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_basis_is_orthonormal_and_hermitian(self, d):
-        basis = hermitian_basis(d)
-        gram = np.einsum("aij,bji->ab", basis, basis)
-        assert np.max(np.abs(gram - np.eye(d * d))) < 1e-15
-        assert np.array_equal(basis, dag(basis))
+    def test_basis_is_orthonormal_and_hermitian(self):
+        gram = np.einsum("aij,bji->ab", BASIS, BASIS)
+        assert np.max(np.abs(gram - np.eye(4))) < 1e-15
+        assert np.array_equal(BASIS, dag(BASIS))
+        assert not BASIS.flags.writeable
 
     @pytest.mark.parametrize("unraveling", UNRAVELINGS)
-    def test_three_level_steps(self, unraveling):
+    def test_non_qubit_operators_rejected(self, unraveling):
         rng = np.random.default_rng(9)
         g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        h = g + dag(g)
-        c, a = (0.5 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-                for _ in range(2))
-        ops = StepOperators.from_operators(h, c, [a], 1e-3, unraveling)
-        rho = mm(g, dag(g))
-        rho /= trace_of(rho).real
-        y = 20.0 if unraveling != "jump" else 1.0
-        fwd = ops.combine(stack_products(ops.forward, to_vector(rho, ops.basis)[:, None]), [y])
-        bwd = ops.combine(stack_products(ops.backward, to_vector(rho, ops.basis)[:, None]), [y])
-        fmap = ops.conditional_map(y)
-        assert np.max(np.abs(to_matrix(fwd[:, 0], ops.basis) - channels.apply(fmap, rho))) < 1e-13
-        assert np.max(np.abs(to_matrix(bwd[:, 0], ops.basis)
-                             - channels.adjoint_apply(fmap, rho))) < 1e-13
+        with pytest.raises(ValueError, match=r"2x2, got shape \(3, 3\)"):
+            StepOperators.from_operators(g + dag(g), g, [g], 1e-3, unraveling)
+        ops = build_step_operators(params(unraveling=unraveling))
+        with pytest.raises(ValueError, match=r"2x2, got shape \(2, 3\)"):
+            StepOperators(u=ops.u, k=ops.k, c=np.zeros((2, 3)), dt=1e-3, unraveling=unraveling)
 
 
 class TestClickSparseForward:
@@ -363,7 +353,7 @@ class TestFilterTrajectory:
             outcomes, noise, states, logw = filter_batch(p, ops, range(8))
             single = filter_trajectory(p, traj_index=5, ops=ops)
             assert np.array_equal(outcomes[:, 5], single.record.outcomes)
-            assert np.array_equal(to_matrix(states[:, :, 5], ops.basis), single.states)
+            assert np.array_equal(to_matrix(states[:, :, 5]), single.states)
             if noise is not None:
                 assert np.array_equal(noise[:, 5], single.record.ostensible_noise)
 
@@ -415,7 +405,7 @@ class TestEnsembleMeanConsistency:
             p = params(unraveling=unraveling, t_final=1.5, seed=77)
             ops = build_step_operators(p)
             _, _, states, _ = filter_batch(p, ops, range(n_traj))
-            mean = to_matrix(states.mean(axis=2), ops.basis)
+            mean = to_matrix(states.mean(axis=2))
             uncond = unconditional_series(p)
             tol = 4.0 / np.sqrt(n_traj) + 5.0 * p.dt
             assert np.max(np.abs(mean - uncond)) < tol

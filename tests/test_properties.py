@@ -4,7 +4,8 @@ Draws cover all three unravelings, nbar and eta at their edges (nbar = 0,
 eta in {0, 1}) and inside, dt up to 0.95 of the bound gamma (nbar+1) dt < 1,
 pure and mixed initial states, and horizons of 1 to 40 steps. Future
 enumeration runs the drawn model with photon counting, after 0 to 5 past
-steps and over 0 to 6 future steps.
+steps and over 0 to 6 future steps. The classical reduction draws the same
+rates, steps and horizons with no drive and a diagonal initial state.
 """
 
 import warnings
@@ -18,13 +19,19 @@ from qsmooth.dynamics import UNRAVELINGS, ModelParams
 from qsmooth.ensemble import EnsembleSpec, run_ensemble
 
 
-@st.composite
-def models(draw):
+def _rates_and_step(draw):
+    """(nbar, eta, dt) drawn over the valid space."""
     nbar = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
     eta = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
     # the larger of the measured and unmeasured rates bounds dt
     rate = max(eta * (nbar + 1.0), nbar + (1.0 - eta) * (nbar + 1.0))
     dt = draw(st.floats(0.01, 0.95)) / rate
+    return nbar, eta, dt
+
+
+@st.composite
+def models(draw):
+    nbar, eta, dt = _rates_and_step(draw)
     direction = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)))
     norm = np.linalg.norm(direction)
     if norm < 1e-3:
@@ -35,6 +42,18 @@ def models(draw):
         unraveling=draw(st.sampled_from(UNRAVELINGS)), dt=dt,
         t_final=draw(st.integers(1, 40)) * dt,
         rho0=qmath.bloch_state(*(radius / norm * direction)),
+        seed=draw(st.integers(0, 2 ** 31 - 1)))
+
+
+@st.composite
+def diagonal_models(draw):
+    """Undriven photon counting from a diagonal state: the dynamics never
+    leave the diagonal, so smoothing is classical."""
+    nbar, eta, dt = _rates_and_step(draw)
+    return ModelParams(
+        omega=0.0, nbar=nbar, eta=eta, unraveling="jump", dt=dt,
+        t_final=draw(st.integers(1, 40)) * dt,
+        rho0=qmath.bloch_state(0.0, 0.0, draw(st.floats(-1.0, 1.0))),
         seed=draw(st.integers(0, 2 ** 31 - 1)))
 
 
@@ -60,4 +79,11 @@ def test_future_average_recovers_filtered(p, past, future):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # eta = 0 futures click with probability 0
         defect, tol = checks.future_enumeration(p.replace(unraveling="jump"), past, future)
+    assert defect < tol
+
+
+@given(diagonal_models())
+@settings(max_examples=100, deadline=None)
+def test_diagonal_dynamics_reduce_to_classical_smoothing(p):
+    defect, tol = checks.classical_reduction(p)
     assert defect < tol

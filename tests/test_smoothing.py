@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from qsmooth import channels, classical, qmath, smoothing
 from qsmooth.dynamics import (
+    BASIS,
     MeasurementRecord,
     ModelParams,
     build_step_operators,
     filter_trajectory,
-    hermitian_basis,
     stack_products,
     to_vector,
     vector_trace,
@@ -30,7 +30,6 @@ from qsmooth.smoothing import (
 )
 
 EPS = np.finfo(float).eps
-BASIS = hermitian_basis(2)
 
 
 def params(**kw):
@@ -98,9 +97,9 @@ class TestQubitSandwich:
     def test_matches_matrix_route(self, rho, effect):
         norm = rho / trace_of(rho).real
         root = qmath.sqrt_psd_stack(norm[None])[0]
-        ref = to_vector(mm(root, mm(effect, root)), BASIS)
-        out = qubit_sandwich(to_vector(rho, BASIS)[:, None],
-                             to_vector(effect, BASIS)[:, None])[:, 0]
+        ref = to_vector(mm(root, mm(effect, root)))
+        out = qubit_sandwich(to_vector(rho)[:, None],
+                             to_vector(effect)[:, None])[:, 0]
         scale = max(1.0, np.abs(effect).max())
         # must hold unconditionally: Tr[sqrt(rho) E sqrt(rho)] = Tr[rho E],
         # and the sandwich is PSD
@@ -119,7 +118,7 @@ class TestQubitSandwich:
     @settings(max_examples=200, deadline=None)
     def test_statistics_match_matrix_routines(self, rho):
         norm = rho / trace_of(rho).real
-        s = to_vector(norm, BASIS)
+        s = to_vector(norm)
         purity, bloch, low, defect = qubit_statistics(s[:, None])
         assert abs(purity[0] - qmath.purity(norm)) < 1e-12
         assert np.max(np.abs(bloch[:, 0] - qmath.bloch_vector(norm[None])[0])) < 1e-12
@@ -131,9 +130,9 @@ class TestQubitSandwich:
     def test_batch_member_matches_single(self):
         rng = np.random.default_rng(11)
         g = rng.normal(size=(8, 2, 2)) + 1j * rng.normal(size=(8, 2, 2))
-        r = to_vector(mm(g, dag(g)), BASIS)
+        r = to_vector(mm(g, dag(g)))
         g = rng.normal(size=(8, 2, 2)) + 1j * rng.normal(size=(8, 2, 2))
-        e = to_vector(mm(g, dag(g)), BASIS)
+        e = to_vector(mm(g, dag(g)))
         wide, one = qubit_sandwich(r.T, e.T), qubit_sandwich(r[5:6].T, e[5:6].T)
         assert np.array_equal(wide[:, 5], one[:, 0])
         s = wide / vector_trace(wide)
@@ -141,13 +140,13 @@ class TestQubitSandwich:
             assert np.array_equal(a[..., 5], b[..., 0])
 
     def test_ground_against_excited_has_zero_weight(self):
-        out = qubit_sandwich(to_vector(GROUND, BASIS)[:, None],
-                             to_vector(EXCITED, BASIS)[:, None])
+        out = qubit_sandwich(to_vector(GROUND)[:, None],
+                             to_vector(EXCITED)[:, None])
         assert vector_trace(out)[0] <= 1e-300
         assert np.max(np.abs(out)) <= 1e-300
 
     def test_zero_state_gives_zero_row(self):
-        out = qubit_sandwich(np.zeros((4, 1)), to_vector(np.eye(2), BASIS)[:, None])
+        out = qubit_sandwich(np.zeros((4, 1)), to_vector(np.eye(2))[:, None])
         assert np.all(out == 0.0)
 
 
@@ -170,8 +169,8 @@ class TestCoordinateSeries:
         assume(kappa < 1e9)
         ref = swv_state(rho, effect)
         ref_purity = trace_of(mm(ref.state, ref.state)).real
-        purity, low = swv_purity_series(to_vector(rho, BASIS)[:, None],
-                                        to_vector(effect, BASIS)[:, None])
+        purity, low = swv_purity_series(to_vector(rho)[:, None],
+                                        to_vector(effect)[:, None])
         # Both routes divide by Tr[rho E], whose relative rounding error is
         # a few eps times kappa = |rho| |E| / Tr[rho E], and the purity goes
         # as its inverse square: 1e-12 up to kappa = 100, then growing with it
@@ -180,9 +179,9 @@ class TestCoordinateSeries:
         assert abs(low[0] - ref.min_eigenvalue) <= tol * max(1.0, abs(ref.min_eigenvalue))
 
     def test_zero_weight_names_time_index(self):
-        r = np.repeat(to_vector(GROUND, BASIS)[:, None], 6, axis=1)
-        e = np.repeat(to_vector(np.eye(2), BASIS)[:, None], 6, axis=1)
-        e[:, 3] = to_vector(EXCITED, BASIS)
+        r = np.repeat(to_vector(GROUND)[:, None], 6, axis=1)
+        e = np.repeat(to_vector(np.eye(2))[:, None], 6, axis=1)
+        e[:, 3] = to_vector(EXCITED)
         with pytest.raises(ZeroTraceError, match=r"time index 3, trajectory 0\b"):
             petz_fuchs_series(r, e)
         with pytest.raises(ZeroTraceError, match=r"time index 13, trajectory 7\b"):
@@ -260,16 +259,16 @@ class TestRetrofilter:
         ops = build_step_operators(params())
         rng = np.random.default_rng(8)
         g = rng.normal(size=(8, 2, 2)) + 1j * rng.normal(size=(8, 2, 2))
-        effects = to_vector(mm(g, dag(g)), BASIS).T
+        effects = to_vector(mm(g, dag(g))).T
         outcomes = self.CLICKS[clicks]
         out, scale = smoothing._adjoint_step_batch(ops, outcomes, effects)
         dense = ops.combine(stack_products(ops.backward, effects), outcomes)
-        assert np.array_equal(scale, vector_trace(dense) / ops.dim)
+        assert np.array_equal(scale, vector_trace(dense) / 2)
         assert np.array_equal(out, dense / scale)
 
     def test_zero_effect_stays_zero(self):
         ops = build_step_operators(params(eta=0.0))
-        effects = np.tile(to_vector(np.eye(2), BASIS)[:, None], (1, 2))
+        effects = np.tile(to_vector(np.eye(2))[:, None], (1, 2))
         with np.errstate(all="raise"):
             out, scale = smoothing._adjoint_step_batch(ops, np.array([0.0, 1.0]), effects)
         assert scale[0] > 0.0 and np.all(out[:, 1] == 0.0) and scale[1] == 0.0
