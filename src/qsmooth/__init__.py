@@ -12,7 +12,7 @@ from .dynamics import (
     unconditional_series,
 )
 from .ensemble import EnsembleSpec, run_ensemble
-from .qmath import NotPSDError, ZeroTraceError, hermitian_sqrt, min_eigenvalue, pinv_sqrt, purity
+from .qmath import NotPSDError, ZeroTraceError, hermitian_sqrt, min_eigenvalue, pinv_sqrt
 from .smoothing import (
     DegenerateWeightsError,
     SmoothingResult,

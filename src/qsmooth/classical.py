@@ -72,11 +72,6 @@ def cl_retrofilter_step(kernel, y, effect):
     return kernel.matrix(y).T @ np.asarray(effect, dtype=float)
 
 
-def cl_smooth_bayes(state, effect):
-    """Unnormalized smoothed weights: entrywise product E(x) p(x)."""
-    return np.asarray(state, dtype=float) * np.asarray(effect, dtype=float)
-
-
 def cl_reverse_map(kernel, y, prior):
     """Retrodictive map R[x, x'] built from F_y and the reference prior.
 

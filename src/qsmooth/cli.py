@@ -51,29 +51,26 @@ class CheckFailure(Exception):
 
 # -- configuration -----------------------------------------------------------
 
-_DEFAULTS = {
-    "omega": 5.0,
-    "nbar": 0.5,
-    "gamma": 1.0,
-    "unraveling": "jump",
-    "phi": None,
-    "dt": 1e-3,
-    "t_final": 7.5,
-    "eta": 1.0,
-    "seed": 0,
-    "rho0": "0,0,-1",
-    "n_traj": 100,
-    "n_bob": 500,
-    "bob_unraveling": "jump",
-    "smoothers": "petz_fuchs",
-    "format": "csv",
-    "out": None,
-    "demo_uniform": 0,
+# key: (type, default, help); every key is both a config-file key and a flag
+_KEYS = {
+    "omega": (float, 5.0, None),
+    "nbar": (float, 0.5, None),
+    "gamma": (float, 1.0, None),
+    "unraveling": (str, "jump", f"one of {UNRAVELINGS}"),
+    "phi": (float, None, None),
+    "dt": (float, 1e-3, None),
+    "t_final": (float, 7.5, None),
+    "eta": (float, 1.0, None),
+    "seed": (int, 0, None),
+    "rho0": (str, "0,0,-1", "initial state Bloch components 'x,y,z'"),
+    "n_traj": (int, 100, None),
+    "n_bob": (int, 500, None),
+    "bob_unraveling": (str, "jump", None),
+    "smoothers": (str, "petz_fuchs", f"comma list from {SMOOTHERS}"),
+    "format": (str, "csv", None),
+    "out": (str, None, "output path ('-' for stdout)"),
+    "demo_uniform": (int, 0, None),
 }
-
-_FLOAT_KEYS = ("omega", "nbar", "gamma", "dt", "t_final", "eta", "phi")
-_INT_KEYS = ("seed", "n_traj", "n_bob", "demo_uniform")
-
 
 def load_config_file(path):
     """Parse a flat key=value file; returns {key: (raw, line_number)}."""
@@ -91,36 +88,29 @@ def load_config_file(path):
             raise ConfigError(f"{path}:{ln}: expected 'key = value'")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key not in _DEFAULTS:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
         out[key] = (value.strip(), ln)
     return out
 
 
 def _coerce(key, raw, where):
-    if raw is None:
-        return None
-    if key in _FLOAT_KEYS:
-        try:
-            return float(raw)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{where}: key {key!r} expects a number, got {raw!r}")
-    if key in _INT_KEYS:
-        try:
-            return int(raw)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{where}: key {key!r} expects an integer, got {raw!r}")
-    return raw
+    kind = _KEYS[key][0]
+    try:
+        return kind(raw)
+    except ValueError:
+        expects = "a number" if kind is float else "an integer"
+        raise ConfigError(f"{where}: key {key!r} expects {expects}, got {raw!r}")
 
 
 def resolve_config(args):
     """Merge defaults, config file, and flags into one typed dict."""
-    cfg = dict(_DEFAULTS)
-    if getattr(args, "config", None):
+    cfg = {key: default for key, (_, default, _) in _KEYS.items()}
+    if args.config:
         for key, (raw, ln) in load_config_file(args.config).items():
             cfg[key] = _coerce(key, raw, f"{args.config}:{ln}")
-    for key in _DEFAULTS:
-        flag = getattr(args, key, None)
+    for key in _KEYS:
+        flag = getattr(args, key)
         if flag is not None:
             cfg[key] = _coerce(key, flag, f"--{key.replace('_', '-')}")
     if cfg["unraveling"] not in UNRAVELINGS:
@@ -132,21 +122,19 @@ def resolve_config(args):
             raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
     if cfg["format"] not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {cfg['format']!r}")
-    smoothers = tuple(s.strip() for s in str(cfg["smoothers"]).split(",") if s.strip())
+    smoothers = tuple(s.strip() for s in cfg["smoothers"].split(",") if s.strip())
     bad = set(smoothers) - set(SMOOTHERS)
     if bad:
         raise ConfigError(f"unknown smoothers: {sorted(bad)}; choose from {SMOOTHERS}")
     if "petz_fuchs" in smoothers and "recursive" in smoothers:
         raise ConfigError("choose one of petz_fuchs or recursive for the smoothed columns")
-    if not smoothers:
-        smoothers = ("petz_fuchs",)
-    cfg["smoothers"] = smoothers
+    cfg["smoothers"] = smoothers or ("petz_fuchs",)
     return cfg
 
 
 def _parse_bloch(raw):
     try:
-        parts = [float(x) for x in str(raw).split(",")]
+        parts = [float(x) for x in raw.split(",")]
         if len(parts) != 3:
             raise ValueError
     except ValueError:
@@ -169,9 +157,8 @@ def build_params(cfg, **overrides):
         raise ConfigError(str(exc))
 
 
-def _echo_config(cfg):
-    for key in sorted(cfg):
-        print(f"# {key} = {_fmt_value(cfg[key])}", file=sys.stderr)
+def _preamble(cfg):
+    return [f"# {key} = {_fmt_value(cfg[key])}" for key in sorted(cfg)]
 
 
 def _fmt_value(v):
@@ -182,15 +169,6 @@ def _fmt_value(v):
 
 def _fmt(x):
     return f"{x:.17g}"
-
-
-def _write_csv(path, cfg, header, rows):
-    # the output path plays no role in regenerating the data
-    lines = [f"# {key} = {_fmt_value(cfg[key])}"
-             for key in sorted(cfg) if key != "out"]
-    lines.append(header)
-    lines.extend(",".join(_fmt(x) for x in row) for row in rows)
-    _emit(path, "\n".join(lines) + "\n")
 
 
 def _json_clean(obj):
@@ -219,8 +197,25 @@ def _emit(path, text):
 
 
 def _json_config(cfg):
+    # the output path plays no role in regenerating the data
     return {k: (list(v) if isinstance(v, tuple) else v)
             for k, v in cfg.items() if k != "out"}
+
+
+def _write(cfg, columns, summary):
+    """Write `columns`, each (CSV names or None, JSON key, values with one
+    row per grid time), as the config preamble plus CSV or as a JSON doc
+    that also holds the config and the `checks` summary."""
+    config = _json_config(cfg)
+    if cfg["format"] == "json":
+        doc = {key: np.asarray(values).tolist() for _, key, values in columns}
+        _write_json(cfg["out"], {**doc, "config": config, "checks": summary})
+        return
+    lines = _preamble({k: cfg[k] for k in config})
+    lines.append(",".join(names for names, _, _ in columns if names))
+    table = np.column_stack([values for names, _, values in columns if names])
+    lines.extend(",".join(_fmt(x) for x in row) for row in table)
+    _emit(cfg["out"], "\n".join(lines) + "\n")
 
 
 # -- simulate -----------------------------------------------------------------
@@ -235,8 +230,15 @@ def cmd_simulate(cfg):
             res.filtered, res.record, p, ops=ops)).T
     pur_f, bloch_f, _, _ = smoothing.qubit_statistics(res.filtered_coords.T)
     pur_s, bloch_s, low, _ = smoothing.qubit_statistics(smoothed)
-    bloch_u = qmath.bloch_vector(unconditional_series(p)).T
-
+    columns = [
+        ("t", "times", res.times),
+        ("outcome", "outcome", np.concatenate([[np.nan], res.record.outcomes])),
+        ("fx,fy,fz", "filtered_bloch", bloch_f.T),
+        ("sx,sy,sz", "smoothed_bloch", bloch_s.T),
+        ("ux,uy,uz", "unconditional_bloch", qmath.bloch_vector(unconditional_series(p))),
+        ("p_filt", "purity_filtered", pur_f),
+        ("p_smooth", "purity_smoothed", pur_s),
+    ]
     extras = []
     if "swv" in cfg["smoothers"]:
         extras.extend(zip(("p_swv", "swv_min_eig"), smoothing.swv_purity_series(
@@ -249,32 +251,11 @@ def cmd_simulate(cfg):
                        ("p_gw", np.einsum("tij,tji->t", gw.gw, gw.gw).real),
                        ("p_gw_pf", np.einsum("tij,tji->t", gw.gw_pf, gw.gw_pf).real),
                        ("gw_ess", gw.ess)])
-    header = ",".join([SIMULATE_HEADER] + [name for name, _ in extras])
-
-    outcome_col = np.concatenate([[np.nan], res.record.outcomes])
-    rows = np.column_stack([res.times, outcome_col, *bloch_f, *bloch_s, *bloch_u,
-                            pur_f, pur_s, *(col for _, col in extras)])
-
-    summary = {
+    columns.extend((name, name, col) for name, col in extras)
+    _write(cfg, columns, {
         "pairing_rel_spread": checks.pairing_spread(res.log_pairing),
         "min_smoothed_eigenvalue": float(low.min()),
-    }
-
-    if cfg["format"] == "csv":
-        _write_csv(cfg["out"], cfg, header, rows)
-    else:
-        doc = {"config": _json_config(cfg),
-               "times": res.times.tolist(),
-               "outcome": outcome_col.tolist(),
-               "filtered_bloch": bloch_f.T.tolist(),
-               "smoothed_bloch": bloch_s.T.tolist(),
-               "unconditional_bloch": bloch_u.T.tolist(),
-               "purity_filtered": pur_f.tolist(),
-               "purity_smoothed": pur_s.tolist(),
-               "checks": summary}
-        for name, col in extras:
-            doc[name] = np.asarray(col).tolist()
-        _write_json(cfg["out"], doc)
+    })
     return 0
 
 
@@ -287,34 +268,23 @@ def cmd_ensemble(cfg):
     if np.isnan(res.purity_gain_mean):
         print("qsmooth: note: the steady window {:g} <= t <= {:g} holds no grid time, "
               "so the purity gains are null".format(*res.window), file=sys.stderr)
-    rows = [
-        [res.times[i], res.avg_purity_filtered[i], res.se_purity_filtered[i],
-         res.avg_purity_smoothed[i], res.se_purity_smoothed[i],
-         res.uncond_purity[i]]
-        for i in range(len(res.times))
-    ]
-    summary = {
+    _write(cfg, [
+        ("t", "times", res.times),
+        ("ep_filt", "avg_purity_filtered", res.avg_purity_filtered),
+        ("se_filt", "se_purity_filtered", res.se_purity_filtered),
+        ("ep_smooth", "avg_purity_smoothed", res.avg_purity_smoothed),
+        ("se_smooth", "se_purity_smoothed", res.se_purity_smoothed),
+        ("p_uncond", "uncond_purity", res.uncond_purity),
+        (None, "mean_bloch_filtered", res.mean_bloch_filtered),
+        (None, "mean_bloch_smoothed", res.mean_bloch_smoothed),
+        (None, "uncond_bloch", res.uncond_bloch),
+    ], {
         "purity_gain_mean": res.purity_gain_mean,
         "purity_gain_se": res.purity_gain_se,
         "relative_improvement": res.relative_improvement,
         "min_smoothed_eigenvalue": res.min_smoothed_eigenvalue,
         "max_smoothed_trace_defect": res.max_smoothed_trace_defect,
-    }
-    if cfg["format"] == "csv":
-        _write_csv(cfg["out"], cfg, ENSEMBLE_HEADER, rows)
-    else:
-        doc = {"config": _json_config(cfg),
-               "times": res.times.tolist(),
-               "avg_purity_filtered": res.avg_purity_filtered.tolist(),
-               "se_purity_filtered": res.se_purity_filtered.tolist(),
-               "avg_purity_smoothed": res.avg_purity_smoothed.tolist(),
-               "se_purity_smoothed": res.se_purity_smoothed.tolist(),
-               "uncond_purity": res.uncond_purity.tolist(),
-               "mean_bloch_filtered": res.mean_bloch_filtered.tolist(),
-               "mean_bloch_smoothed": res.mean_bloch_smoothed.tolist(),
-               "uncond_bloch": res.uncond_bloch.tolist(),
-               "checks": summary}
-        _write_json(cfg["out"], doc)
+    })
     return 0
 
 
@@ -362,30 +332,20 @@ def cmd_classical_demo(cfg):
             mats[y] = (f / lik[None, :]) * 0.5
         kernel = classical.ConditionalKernel(mats)
     prior = np.array([0.3, 0.7])
-    steps = p.n_steps
     rng = np.random.default_rng(p.seed)
-    record, _ = classical.sample_record(kernel, prior, steps, rng)
-    filt = classical.filter_series(kernel, record, prior)
-    bayes = classical.smooth_bayes_series(kernel, record, prior)
-    retro = classical.smooth_retro_series(kernel, record, prior)
-    filt = filt / filt.sum(axis=1)[:, None]
-    bayes = bayes / bayes.sum(axis=1)[:, None]
-    retro = retro / retro.sum(axis=1)[:, None]
-    header = "t,pf_0,pf_1,ps_bayes_0,ps_bayes_1,ps_retro_0,ps_retro_1"
-    rows = [[i * p.dt, filt[i, 0], filt[i, 1], bayes[i, 0], bayes[i, 1],
-             retro[i, 0], retro[i, 1]] for i in range(steps + 1)]
+    record, _ = classical.sample_record(kernel, prior, p.n_steps, rng)
+    filt, bayes, retro = (probs / probs.sum(axis=1)[:, None] for probs in (
+        classical.filter_series(kernel, record, prior),
+        classical.smooth_bayes_series(kernel, record, prior),
+        classical.smooth_retro_series(kernel, record, prior)))
     agreement = float(np.max(np.abs(bayes - retro)))
-    if cfg["format"] == "csv":
-        _write_csv(cfg["out"], demo_cfg, header, rows)
-    else:
-        _write_json(cfg["out"], {
-            "config": _json_config(demo_cfg),
-            "times": [i * p.dt for i in range(steps + 1)],
-            "record": [int(y) for y in record],
-            "filtered": filt.tolist(),
-            "smoothed_bayes": bayes.tolist(),
-            "smoothed_retro": retro.tolist(),
-            "checks": {"route_agreement": agreement}})
+    _write(demo_cfg, [
+        ("t", "times", np.arange(p.n_steps + 1) * p.dt),
+        (None, "record", record),
+        ("pf_0,pf_1", "filtered", filt),
+        ("ps_bayes_0,ps_bayes_1", "smoothed_bayes", bayes),
+        ("ps_retro_0,ps_retro_1", "smoothed_retro", retro),
+    ], {"route_agreement": agreement})
     if agreement > 1e-10:
         raise CheckFailure(f"smoothing routes disagree by {agreement:.2e}")
     return 0
@@ -393,19 +353,12 @@ def cmd_classical_demo(cfg):
 
 # -- entry point -------------------------------------------------------------------
 
-def _add_common(sub):
-    sub.add_argument("--config", help="key = value configuration file")
-    for key in _FLOAT_KEYS:
-        sub.add_argument(f"--{key.replace('_', '-')}", dest=key)
-    for key in _INT_KEYS:
-        sub.add_argument(f"--{key.replace('_', '-')}", dest=key)
-    sub.add_argument("--unraveling", dest="unraveling", help=f"one of {UNRAVELINGS}")
-    sub.add_argument("--bob-unraveling", dest="bob_unraveling")
-    sub.add_argument("--rho0", dest="rho0", help="initial state Bloch components 'x,y,z'")
-    sub.add_argument("--smoothers", dest="smoothers",
-                     help=f"comma list from {SMOOTHERS}")
-    sub.add_argument("--format", dest="format", choices=("csv", "json"))
-    sub.add_argument("--out", dest="out", help="output path ('-' for stdout)")
+_COMMANDS = {
+    "simulate": (cmd_simulate, "single filtered + smoothed trajectory"),
+    "ensemble": (cmd_ensemble, "Monte-Carlo average purities"),
+    "validate": (cmd_validate, "run the built-in consistency checks"),
+    "classical-demo": (cmd_classical_demo, "two-state classical smoothing demo"),
+}
 
 
 def build_parser():
@@ -413,34 +366,20 @@ def build_parser():
         prog="qsmooth",
         description="Quantum trajectory filtering and retrodictive smoothing")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (("simulate", "single filtered + smoothed trajectory"),
-                      ("ensemble", "Monte-Carlo average purities"),
-                      ("validate", "run the built-in consistency checks"),
-                      ("classical-demo", "two-state classical smoothing demo")):
+    for name, (_, doc) in _COMMANDS.items():
         sub = subs.add_parser(name, help=doc)
-        _add_common(sub)
+        sub.add_argument("--config", help="key = value configuration file")
+        for key, (_, _, text) in _KEYS.items():
+            sub.add_argument(f"--{key.replace('_', '-')}", dest=key, help=text)
     return parser
 
 
-_COMMANDS = {
-    "simulate": cmd_simulate,
-    "ensemble": cmd_ensemble,
-    "validate": cmd_validate,
-    "classical-demo": cmd_classical_demo,
-}
-
-
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-    except ConfigError as exc:
-        print(f"qsmooth: config error: {exc}", file=sys.stderr)
-        return 2
-    _echo_config(cfg)
-    try:
-        return _COMMANDS[args.command](cfg)
+        print("\n".join(_preamble(cfg)), file=sys.stderr)
+        return _COMMANDS[args.command][0](cfg)
     except ConfigError as exc:
         print(f"qsmooth: config error: {exc}", file=sys.stderr)
         return 2

@@ -434,12 +434,6 @@ class MeasurementRecord:
     def __len__(self):
         return len(self.outcomes)
 
-    @property
-    def n_detections(self):
-        if self.unraveling != "jump":
-            raise ValueError("detection count is defined for jump records only")
-        return int(np.sum(self.outcomes >= 0.5))
-
 
 @dataclass(eq=False)
 class FilterResult:

@@ -93,16 +93,15 @@ def hermitian_sqrt(m):
     return (v * np.sqrt(w)) @ dag(v)
 
 
-def pinv_sqrt(m, tol=None):
+def pinv_sqrt(m):
     """Support-restricted inverse square root of a PSD matrix.
 
-    Eigenvalues above `tol` map to lambda**-0.5, the rest to 0. The default
-    tolerance is SUPPORT_RTOL times the largest eigenvalue, so support
-    detection is scale free for unnormalized states.
+    Eigenvalues above SUPPORT_RTOL times the largest eigenvalue map to
+    lambda**-0.5, the rest to 0, so support detection is scale free for
+    unnormalized states.
     """
     w, v = _eigh_clamped(m)
-    if tol is None:
-        tol = SUPPORT_RTOL * (w[-1] if w[-1] > 0 else 1.0)
+    tol = SUPPORT_RTOL * (w[-1] if w[-1] > 0 else 1.0)
     inv = np.where(w > tol, 1.0 / np.sqrt(np.maximum(w, tol)), 0.0)
     return (v * inv) @ dag(v)
 

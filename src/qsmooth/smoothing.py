@@ -396,6 +396,8 @@ def gw_smooth(record: MeasurementRecord, p: ModelParams, bob_unraveling,
     weight. Deterministic given `seed`. Raises DegenerateWeightsError if
     the effective sample size drops below 2.
     """
+    if n_bob < 1:
+        raise ValueError(f"n_bob must be at least 1, got {n_bob}")
     if len(record) != p.n_steps:
         raise ValueError(
             f"record has {len(record)} steps but the grid has {p.n_steps}")

@@ -14,7 +14,6 @@ from qsmooth.classical import (
     cl_filter_step,
     cl_retrofilter_step,
     cl_reverse_map,
-    cl_smooth_bayes,
     cl_smooth_retro_step,
 )
 
@@ -121,12 +120,17 @@ class TestRetrofilterStep:
 
 class TestSmoothBayes:
     def test_uniform_effect(self):
-        state = np.array([0.3, 0.7])
-        assert np.allclose(cl_smooth_bayes(state, np.ones(2)), state)
+        # the effect at the final time is uniform, so smoothing changes nothing there
+        k = two_outcome_identity_kernel()
+        record, prior = [0, 1, 0], np.array([0.3, 0.7])
+        smoothed = classical.smooth_bayes_series(k, record, prior)
+        assert np.allclose(smoothed[-1], classical.filter_series(k, record, prior)[-1])
 
     def test_concentrating_effect(self):
-        out = cl_smooth_bayes(np.array([0.3, 0.7]), np.array([1.0, 0.0]))
-        assert out[1] == 0.0 and out[0] == pytest.approx(0.3)
+        # outcome 0 never happens in state 1, so seeing it next rules state 1 out
+        k = two_outcome_identity_kernel(lik=(0.9, 0.0))
+        out = classical.smooth_bayes_series(k, [0], np.array([0.3, 0.7]))[0]
+        assert out[1] == 0.0 and out[0] == pytest.approx(0.3 * 0.9)
 
     def test_equals_enumerated_joint(self):
         rng = np.random.default_rng(2)
@@ -186,7 +190,7 @@ class TestCriterion2Analog:
             for y in reversed(bits):
                 eff = cl_retrofilter_step(k, y, eff)
             w = float(eff @ filt)  # p(future | past) * norm(filt)
-            smoothed = cl_smooth_bayes(filt, eff)
+            smoothed = filt * eff
             if smoothed.sum() > 0:
                 acc += w * smoothed / smoothed.sum()
             total += w

@@ -97,6 +97,13 @@ class TestSimulate:
     def test_conflicting_smoothers(self, capsys):
         assert run(["simulate", "--smoothers", "petz_fuchs,recursive"]) == 2
 
+    def test_empty_smoothers_list_is_default(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        run(["simulate", "--seed", "4", "--t-final", "0.02", "--out", str(a)])
+        run(["simulate", "--seed", "4", "--t-final", "0.02", "--smoothers", ",",
+             "--out", str(b)])
+        assert a.read_bytes() == b.read_bytes()
+
     def test_json_format(self, tmp_path, capsys):
         out = tmp_path / "sim.json"
         run(["simulate", "--seed", "5", "--t-final", "0.01",
@@ -160,8 +167,22 @@ class TestIntegerRange:
         ["simulate", "--smoothers", "gw", "--n-bob", "-2"],
         *([command, "--seed", "-1"]
           for command in ("simulate", "ensemble", "validate", "classical-demo")),
+        ["simulate", "--unraveling", "heterodyne"],
+        ["simulate", "--smoothers", "gw", "--bob-unraveling", "heterodyne"],
+        ["simulate", "--smoothers", "petz_fuchs,kalman"],
+        ["simulate", "--rho0", "0,1"],
+        ["simulate", "--rho0", "0.8,0,0.8"],
+        ["simulate", "--seed", "1.5"],
+        ["simulate", "--format", "xml"],
+        # the text after --config is written to a config file
+        ["simulate", "--config", "omega 5"],
+        ["simulate", "--config", "format = xml"],
     ], ids=" ".join)
     def test_out_of_range_is_config_error(self, args, tmp_path, capsys):
+        if "--config" in args:
+            cfgfile = tmp_path / "run.cfg"
+            cfgfile.write_text(args[-1] + "\n")
+            args = args[:-1] + [str(cfgfile)]
         assert run(args + ["--t-final", "0.01", "--out", str(tmp_path / "x")]) == 2
         assert "qsmooth: config error:" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()

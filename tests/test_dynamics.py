@@ -315,7 +315,7 @@ class TestFilterTrajectory:
     def test_dark_state_constant(self):
         p = params(omega=0.0, nbar=0.0, t_final=0.5)
         fr = filter_trajectory(p)
-        assert fr.record.n_detections == 0
+        assert not np.any(fr.record.outcomes)
         assert np.max(np.abs(fr.states - GROUND)) < 1e-12
         assert np.max(np.abs(fr.log_weight)) < 1e-12
 

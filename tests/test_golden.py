@@ -9,7 +9,8 @@ stored with the numpy version and machine they were made on, and the test
 skips elsewhere.
 
 Runs in about 3 s: six 640-trajectory ensembles of 200 steps, six
-1000-step records and one `validate` at defaults.
+1000-step records, one `validate` at defaults and two 50-step classical
+demos.
 """
 
 import hashlib
@@ -24,8 +25,9 @@ MADE_WITH = {"numpy": "2.4.6", "machine": "x86_64"}
 
 ENSEMBLE = ["ensemble", "--n-traj", "640", "--seed", "1", "--t-final", "0.2"]
 SIMULATE = ["simulate", "--seed", "3", "--t-final", "1", "--smoothers", "petz_fuchs,swv"]
+CLASSICAL = ["classical-demo", "--seed", "6", "--t-final", "0.5"]
 
-# sha256 of the output file, by command-unraveling-format
+# sha256 of the output file, by command-unraveling-format or command-format
 DIGESTS = {
     "ensemble-jump-csv": "18b5acc73dffaebbdbbf769150e237e01ea9fbb8432245f966d28d946f5d9364",
     "ensemble-jump-json": "2bc35a65a59fb3b18a35635677ed5a5959cecf362fd43a85692eb3e338fe7d28",
@@ -40,6 +42,8 @@ DIGESTS = {
     "simulate-homodyne_y-csv": "69fd5092321ee17b9639c50cf90e04f6af5111c2fd05a7b691dcedd80425becd",
     "simulate-homodyne_y-json": "bfe0c214cf5521ad90fb9ccc6c804e3f3fe5cf486aa6779733f39ab9e16aff61",
     "validate": "ea46793f0759d2c9c1759562746af1817164f4f8d49a187ec074e82f7012178a",
+    "classical-demo-csv": "fd5f8cc295860bd862dd5a51ac6c935889bdf58708908b7e73bc8531d0e102f5",
+    "classical-demo-json": "bd6531a7c134fc1dc9b338a58cad56354194849d5e7215e950030ebdd2ebc3ff",
 }
 
 HERE = {"numpy": np.__version__, "machine": platform.machine()}
@@ -53,6 +57,8 @@ pytestmark = pytest.mark.skipif(
 def _argv(case):
     if case == "validate":
         return ["validate"]
+    if case.startswith("classical-demo-"):
+        return CLASSICAL + ["--format", case.rsplit("-", 1)[1]]
     command, unraveling, fmt = case.split("-")
     base = ENSEMBLE if command == "ensemble" else SIMULATE
     return base + ["--unraveling", unraveling, "--format", fmt]

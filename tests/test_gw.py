@@ -156,6 +156,13 @@ class TestMonteCarlo:
         with np.errstate(all="raise"), pytest.raises(ZeroTraceError, match="time index 2"):
             gw_smooth(record, p, "jump", n_bob=50, seed=1)
 
+    @pytest.mark.parametrize("n_bob", [0, -2])
+    def test_no_samples_is_value_error(self, n_bob):
+        p = params()
+        fr = filter_trajectory(p)
+        with pytest.raises(ValueError, match="n_bob must be at least 1"):
+            gw_smooth(fr.record, p, "jump", n_bob=n_bob, seed=0)
+
     def test_states_physical(self):
         p = params(rho0=np.diag([0.4, 0.6]).astype(complex))
         fr = filter_trajectory(p)

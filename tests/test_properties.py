@@ -5,7 +5,8 @@ eta in {0, 1}) and inside, dt up to 0.95 of the bound gamma (nbar+1) dt < 1,
 pure and mixed initial states, and horizons of 1 to 40 steps. Future
 enumeration runs the drawn model with photon counting, after 0 to 5 past
 steps and over 0 to 6 future steps. The classical reduction draws the same
-rates, steps and horizons with no drive and a diagonal initial state.
+rates, steps and horizons with no drive and a diagonal initial state. Petz
+composability draws the seed of its random channel pairs, priors and inputs.
 """
 
 import warnings
@@ -86,4 +87,11 @@ def test_future_average_recovers_filtered(p, past, future):
 @settings(max_examples=100, deadline=None)
 def test_diagonal_dynamics_reduce_to_classical_smoothing(p):
     defect, tol = checks.classical_reduction(p)
+    assert defect < tol
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=15, deadline=None)  # about 0.15 s an example
+def test_petz_maps_compose(seed):
+    defect, tol = checks.petz_composability(ModelParams(omega=5.0, nbar=0.5, seed=seed))
     assert defect < tol

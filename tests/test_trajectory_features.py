@@ -25,7 +25,7 @@ def single_jump_result():
     p = ModelParams(omega=5.0, nbar=0.5, unraveling="jump",
                     dt=1e-3, t_final=7.5, seed=0)
     res = smoothing.smooth_trajectory(p, traj_index=14)
-    assert res.record.n_detections == 1
+    assert np.sum(res.record.outcomes) == 1
     return res
 
 
