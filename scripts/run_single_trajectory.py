@@ -46,7 +46,7 @@ def main():
     chosen = None
     for start in range(0, args.max_scan, 64):
         idx = range(start, start + 64)
-        outcomes, _, _, _ = filter_batch(p, ops, idx)
+        outcomes, _, _ = filter_batch(p, ops, idx)
         hits = np.nonzero((outcomes >= 0.5).sum(axis=0) == args.detections)[0]
         if len(hits):
             chosen = start + int(hits[0])
@@ -57,14 +57,14 @@ def main():
         return 1
 
     res = smoothing.smooth_trajectory(p, chosen)
-    jumps = np.nonzero(res.record.outcomes >= 0.5)[0] * p.dt
+    jumps = np.nonzero(res.record >= 0.5)[0] * p.dt
     print(f"trajectory index {chosen}: detections at t = {np.round(jumps, 3)}")
 
     bf, bs = qmath.bloch_vector(res.filtered), qmath.bloch_vector(res.smoothed)
     cfg = {"omega": args.omega, "nbar": args.nbar, "dt": args.dt,
            "t_final": args.t_final, "seed": args.seed, "traj_index": chosen,
            "unraveling": "jump"}
-    rows = [[res.times[i], res.record.outcomes[i - 1] if i else np.nan,
+    rows = [[res.times[i], res.record[i - 1] if i else np.nan,
              bf[i, 0], bf[i, 1], bf[i, 2], bs[i, 0], bs[i, 1], bs[i, 2],
              res.purity_filtered[i], res.purity_smoothed[i]]
             for i in range(len(res.times))]

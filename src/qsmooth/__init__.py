@@ -4,7 +4,6 @@ from .channels import CPMap, DimMismatchError, adjoint_apply, apply, compose, pe
 from .classical import ConditionalKernel
 from .dynamics import (
     InvalidParamsError,
-    MeasurementRecord,
     ModelParams,
     StepOperators,
     build_step_operators,

@@ -86,7 +86,7 @@ def diagonal_smoothing(p: ModelParams):
     ops = build_step_operators(p)
     res = smoothing.smooth_trajectory(p, ops=ops)
     kernel = classical.diagonal_kernel({y: ops.conditional_map(y) for y in (0, 1)})
-    record = [int(b) for b in res.record.outcomes]
+    record = [int(b) for b in res.record]
     cls = classical.smooth_bayes_series(kernel, record, np.diag(p.rho0).real)
     return res.smoothed, cls / cls.sum(axis=1)[:, None]
 
@@ -124,7 +124,7 @@ def swv_identity(p: ModelParams):
         root = qmath.hermitian_sqrt(rho)
         comm = mm(e, root) - mm(root, e)
         dc = mm(comm, root) - mm(root, comm)
-        swv = smoothing.swv_state(rho, e).state
+        swv = smoothing.swv_state(rho, e)
         tr = trace_of(mm(rho, e)).real
         defect = max(defect, float(np.max(np.abs(
             smoothing.petz_fuchs(rho, e) - (swv - dc / (2.0 * tr))))))
@@ -133,11 +133,12 @@ def swv_identity(p: ModelParams):
 
 def completeness_residual(p: ModelParams):
     """Completeness of the step operators: exact for photon counting and
-    the dissipation; homodyne's E[M_y^dag M_y] over the ostensible Gaussian
-    misses the identity at O(dt^2), which sets the tolerance."""
+    the dissipation; homodyne's E[M_y^dag M_y] over the ostensible Gaussian,
+    M_0^2 + c^dag c dt, misses the identity at O(dt^2), which sets the
+    tolerance."""
     ops = build_step_operators(p)
     y2 = ops.ctc * p.dt
-    a = np.eye(2) - 0.5 * y2 + 0.125 * mm(y2, y2)
+    a = build_step_operators(p.replace(unraveling="homodyne_x")).measurement_op(0.0)
     hom_defect = float(np.max(np.abs(mm(a, a) + y2 - np.eye(2))))
     defect = max(ops.unconditional_map().completeness_defect(),
                  ops.dissipation_map().completeness_defect(), hom_defect)

@@ -116,7 +116,8 @@ def resolve_config(args):
     if cfg["unraveling"] not in UNRAVELINGS:
         raise ConfigError(f"unraveling must be one of {UNRAVELINGS}, got {cfg['unraveling']!r}")
     if cfg["bob_unraveling"] not in UNRAVELINGS:
-        raise ConfigError(f"bob_unraveling must be one of {UNRAVELINGS}")
+        raise ConfigError(f"bob_unraveling must be one of {UNRAVELINGS}, "
+                          f"got {cfg['bob_unraveling']!r}")
     for key in ("n_traj", "n_bob"):
         if cfg[key] < 1:
             raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
@@ -232,7 +233,7 @@ def cmd_simulate(cfg):
     pur_s, bloch_s, low, _ = smoothing.qubit_statistics(smoothed)
     columns = [
         ("t", "times", res.times),
-        ("outcome", "outcome", np.concatenate([[np.nan], res.record.outcomes])),
+        ("outcome", "outcome", np.concatenate([[np.nan], res.record])),
         ("fx,fy,fz", "filtered_bloch", bloch_f.T),
         ("sx,sy,sz", "smoothed_bloch", bloch_s.T),
         ("ux,uy,uz", "unconditional_bloch", qmath.bloch_vector(unconditional_series(p))),

@@ -12,8 +12,8 @@ and K_0 = sqrt(1 - a^dag a dt), so each outcome set is complete to machine
 precision and conditional step probabilities are exact for the discrete
 model. Records are generated from the actual outcome distribution (for
 photon counting this just renormalizes the state each step; for homodyne
-the Gaussian ostensible noise dW is shifted by the quadrature mean and
-retained in the record).
+the Gaussian ostensible noise dW is shifted by the quadrature mean). A
+record is the (n,) array of its outcomes.
 
 All propagation goes through one transfer-matrix core. In the orthonormal
 Pauli coordinates of `BASIS`, (1, X, Y, Z) / sqrt(2), each F_y is a real
@@ -55,6 +55,8 @@ def _validated_rho0(rho0):
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (2, 2):
         raise InvalidParamsError(f"rho0 must be 2x2, got {rho0.shape}")
+    if not np.all(np.isfinite(rho0)):
+        raise InvalidParamsError("rho0 has non-finite entries")
     if np.max(np.abs(rho0 - dag(rho0))) > 1e-12:
         raise InvalidParamsError("rho0 must be Hermitian")
     if qmath.min_eigenvalue(rho0) < -qmath.PSD_CLAMP_TOL:
@@ -92,6 +94,10 @@ class ModelParams:
         if self.unraveling not in UNRAVELINGS:
             raise InvalidParamsError(
                 f"unraveling must be one of {UNRAVELINGS}, got {self.unraveling!r}")
+        for name in ("omega", "nbar", "phi", "t_final"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise InvalidParamsError(f"{name} must be finite, got {value}")
         if not (self.gamma > 0):
             raise InvalidParamsError("gamma must be positive")
         if self.nbar < 0:
@@ -122,10 +128,6 @@ class ModelParams:
     @property
     def times(self):
         return np.arange(self.n_steps + 1) * self.dt
-
-    @property
-    def is_homodyne(self):
-        return self.unraveling != "jump"
 
     def replace(self, **kw):
         """Copy with the given fields replaced; a new unraveling resets phi."""
@@ -416,45 +418,21 @@ def unconditional_series(p: ModelParams):
 
 # -- records and filtering --------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class MeasurementRecord:
-    """Time-ordered outcomes of one monitored run.
-
-    For photon counting `outcomes` holds the click bits (0.0 / 1.0); for
-    homodyne it holds the measured currents y_t, and `ostensible_noise`
-    keeps the Gaussian increments dW used to generate them so a run can be
-    reproduced exactly.
-    """
-
-    unraveling: str
-    dt: float
-    outcomes: np.ndarray
-    ostensible_noise: Optional[np.ndarray] = None
-
-    def __len__(self):
-        return len(self.outcomes)
-
-
 @dataclass(eq=False)
 class FilterResult:
     """Forward filtering output along one record.
 
-    `coords` (n+1, 4) are the normalized filtered states in `BASIS`, and
-    `states` the same as matrices; `log_weight` accumulates the per-step
-    outcome likelihoods, so exp(log_weight[i]) * states[i] is the
-    unnormalized filtered state (for photon counting its trace is the
-    probability of the record so far).
+    `record` (n,) holds the outcomes: click bits (0.0 / 1.0) for photon
+    counting, measured currents y_t for homodyne. `coords` (n+1, 4) are the
+    normalized filtered states in `BASIS`; `log_weight` accumulates the
+    per-step outcome likelihoods, so exp(log_weight[i]) times the state of
+    coords[i] is the unnormalized filtered state (for photon counting its
+    trace is the probability of the record so far).
     """
 
-    params: ModelParams
-    record: MeasurementRecord
+    record: np.ndarray
     coords: np.ndarray
     log_weight: np.ndarray
-    states = matrix_property("coords")
-
-    @property
-    def times(self):
-        return self.params.times
 
 
 def trajectory_stream(master_seed, index, domain=0):
@@ -482,9 +460,9 @@ def draw_noise(master_seed, indices, n, unraveling, dt, domain=0):
 def filter_batch(p: ModelParams, ops: StepOperators, traj_indices):
     """Filter a batch of trajectories in lockstep.
 
-    Returns (outcomes (n, N), noise (n, N) or None, states (n+1, 4, N),
-    log_weight (n+1, N)), time-major with the trajectory axis last; states
-    are coordinate columns. Trajectory i consumes only the
+    Returns (outcomes (n, N), states (n+1, 4, N), log_weight (n+1, N)),
+    time-major with the trajectory axis last; states are coordinate
+    columns. Trajectory i consumes only the
     stream derived from (p.seed, traj_indices[i]), so results do not depend
     on how trajectories are grouped into batches.
     """
@@ -506,7 +484,7 @@ def filter_batch(p: ModelParams, ops: StepOperators, traj_indices):
                                        f"trajectory {idx[int(np.argmax(w <= ZERO_TRACE_TOL))]}")
         np.add(log_weight[s], np.log(w), out=log_weight[s + 1])
         r = np.divide(u, w, out=states[s + 1])
-    return outcomes, (noise if p.is_homodyne else None), states, log_weight
+    return outcomes, states, log_weight
 
 
 def filter_trajectory(p: ModelParams, traj_index=0,
@@ -517,8 +495,5 @@ def filter_trajectory(p: ModelParams, traj_index=0,
     the filtered state at every grid point.
     """
     ops = build_step_operators(p) if ops is None else ops
-    outcomes, noise, states, logw = filter_batch(p, ops, [traj_index])
-    record = MeasurementRecord(
-        unraveling=p.unraveling, dt=p.dt, outcomes=outcomes[:, 0],
-        ostensible_noise=None if noise is None else noise[:, 0])
-    return FilterResult(p, record, coords=states[:, :, 0], log_weight=logw[:, 0])
+    outcomes, states, logw = filter_batch(p, ops, [traj_index])
+    return FilterResult(outcomes[:, 0], coords=states[:, :, 0], log_weight=logw[:, 0])

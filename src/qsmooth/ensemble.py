@@ -89,7 +89,7 @@ def run_ensemble(spec: EnsembleSpec) -> EnsembleResult:
 
     for start in range(0, n_traj, _CHUNK):
         idx = range(start, min(start + _CHUNK, n_traj))
-        outcomes, _, states, _ = filter_batch(p, ops, idx)
+        outcomes, states, _ = filter_batch(p, ops, idx)
         nb = states.shape[2]
 
         # Backward pass: the walk's effects go into a coordinate-major

@@ -3,8 +3,9 @@
 Everything here operates on plain numpy arrays. Functions accept stacked
 inputs of shape (..., d, d) where noted; the spectral routines
 (`hermitian_sqrt`, `pinv_sqrt`) take a single matrix.
-Eigendecomposition is the canonical spectral routine; `sqrt_psd_stack`
-carries a closed-form 2x2 fast path that is tested against it.
+Eigendecomposition is the canonical spectral routine; the qubit stack
+routines `sqrt_psd_stack` and `min_eigenvalue_stack` are closed forms that
+are tested against it.
 """
 
 from __future__ import annotations
@@ -137,44 +138,37 @@ def bloch_state(x, y, z):
 
 
 def sqrt_psd_stack(rho):
-    """PSD square root for a stack of matrices, shape (..., d, d).
+    """PSD square root for a stack of qubit matrices, shape (..., 2, 2).
 
-    For d = 2 uses the closed form sqrt(M) = (M + sqrt(det) I) / sqrt(tr +
+    Uses the closed form sqrt(M) = (M + sqrt(det) I) / sqrt(tr +
     2 sqrt(det)), which matches the eigendecomposition route to better than
-    1e-12; other dimensions fall back to stacked eigh. Inputs are assumed
-    PSD up to round-off (negative parts are clamped, not diagnosed).
+    1e-12. Inputs are assumed PSD up to round-off (negative parts are
+    clamped, not diagnosed).
     """
     rho = np.asarray(rho, dtype=complex)
-    d = rho.shape[-1]
-    if d == 2:
-        det = (rho[..., 0, 0] * rho[..., 1, 1]
-               - rho[..., 0, 1] * rho[..., 1, 0]).real
-        tr = (rho[..., 0, 0] + rho[..., 1, 1]).real
-        disc = np.maximum(0.25 * tr * tr - det, 0.0)
-        lam_max = 0.5 * tr + np.sqrt(disc)
-        # lam_min = det / lam_max avoids the cancellation in tr/2 - sqrt(disc)
-        lam_min = np.maximum(det, 0.0) / np.where(lam_max > 0.0, lam_max, 1.0)
-        lam_min = np.where(lam_min < RANK_FLOOR_RTOL * lam_max, 0.0, lam_min)
-        s = np.sqrt(lam_min * lam_max)
-        denom = np.sqrt(lam_max) + np.sqrt(lam_min)
-        # Zero matrix -> zero root; guard the division only.
-        safe = np.where(denom > 0.0, denom, 1.0)
-        out = (rho + s[..., None, None] * IDENTITY2) / safe[..., None, None]
-        return np.where((denom > 0.0)[..., None, None], out, 0.0)
-    w, v = np.linalg.eigh(hermitize(rho))
-    w = np.maximum(w, 0.0)
-    w[w < RANK_FLOOR_RTOL * w[..., -1:]] = 0.0
-    return np.einsum("...ik,...k,...jk->...ij", v, np.sqrt(w), np.conj(v))
+    det = (rho[..., 0, 0] * rho[..., 1, 1]
+           - rho[..., 0, 1] * rho[..., 1, 0]).real
+    tr = (rho[..., 0, 0] + rho[..., 1, 1]).real
+    disc = np.maximum(0.25 * tr * tr - det, 0.0)
+    lam_max = 0.5 * tr + np.sqrt(disc)
+    # lam_min = det / lam_max avoids the cancellation in tr/2 - sqrt(disc)
+    lam_min = np.maximum(det, 0.0) / np.where(lam_max > 0.0, lam_max, 1.0)
+    lam_min = np.where(lam_min < RANK_FLOOR_RTOL * lam_max, 0.0, lam_min)
+    s = np.sqrt(lam_min * lam_max)
+    denom = np.sqrt(lam_max) + np.sqrt(lam_min)
+    # Zero matrix -> zero root; guard the division only.
+    safe = np.where(denom > 0.0, denom, 1.0)
+    out = (rho + s[..., None, None] * IDENTITY2) / safe[..., None, None]
+    return np.where((denom > 0.0)[..., None, None], out, 0.0)
 
 
 def min_eigenvalue_stack(m):
-    """Smallest eigenvalue per matrix in a stack, closed form for d = 2."""
+    """Smallest eigenvalue per matrix in a stack of qubit matrices, shape
+    (..., 2, 2), in closed form."""
     m = np.asarray(m, dtype=complex)
-    if m.shape[-1] == 2:
-        a = m[..., 0, 0].real
-        d = m[..., 1, 1].real
-        b = m[..., 0, 1]
-        half = 0.5 * (a + d)
-        rad = np.sqrt(np.maximum(0.25 * (a - d) ** 2 + np.abs(b) ** 2, 0.0))
-        return half - rad
-    return np.linalg.eigvalsh(hermitize(m))[..., 0]
+    a = m[..., 0, 0].real
+    d = m[..., 1, 1].real
+    b = m[..., 0, 1]
+    half = 0.5 * (a + d)
+    rad = np.sqrt(np.maximum(0.25 * (a - d) ** 2 + np.abs(b) ** 2, 0.0))
+    return half - rad

@@ -25,7 +25,6 @@ import numpy as np
 from . import channels, qmath
 from .dynamics import (
     SQRT2,
-    MeasurementRecord,
     ModelParams,
     StepOperators,
     build_step_operators,
@@ -50,14 +49,13 @@ class DegenerateWeightsError(RuntimeError):
 class EffectSeries:
     """Retrofiltered effects on the grid, trace-rescaled for stability.
 
-    `coords` (n+1, 4) are the effects in `BASIS`, `effects` the same as
-    matrices. effects[i] * exp(log_scale[i]) is the raw pulled-back effect;
-    the rescaling cancels in every normalized smoothed state.
+    `coords` (n+1, 4) are the effects in `BASIS`; exp(log_scale[i]) times
+    the effect of coords[i] is the raw pulled-back effect. The rescaling
+    cancels in every normalized smoothed state.
     """
 
     coords: np.ndarray
     log_scale: np.ndarray
-    effects = matrix_property("coords")
 
 
 # A click column whose pulled-back trace row is within this many round-offs
@@ -111,14 +109,14 @@ def backward_walk(ops: StepOperators, outcomes):
         yield s, e, scale
 
 
-def retrofilter(record: MeasurementRecord, p: ModelParams,
+def retrofilter(record, p: ModelParams,
                 ops: StepOperators | None = None) -> EffectSeries:
-    """Retrofiltered effects along a record: the width-1 `backward_walk`,
-    with the steps' trace rescalings accumulated into a log scale. Raises
-    ZeroTraceError naming the latest time index from which no state can
-    produce the rest of the record."""
+    """Retrofiltered effects along the (n,) outcomes `record`: the width-1
+    `backward_walk`, with the steps' trace rescalings accumulated into a log
+    scale. Raises ZeroTraceError naming the latest time index from which no
+    state can produce the rest of the record."""
     ops = build_step_operators(p) if ops is None else ops
-    walk = list(backward_walk(ops, np.asarray(record.outcomes, dtype=float)[:, None]))
+    walk = list(backward_walk(ops, np.asarray(record, dtype=float)[:, None]))
     dead = [s for s, _, scale in walk if not scale[0] > 0.0]  # latest first
     if dead:
         raise ZeroTraceError(f"no state at time index {dead[0]} can produce the record")
@@ -208,9 +206,10 @@ def petz_fuchs_series(r, e, time0=0, traj0=0):
     return sm / w
 
 
-def petz_fuchs_recursive(filtered_states, record: MeasurementRecord,
-                         p: ModelParams, ops: StepOperators | None = None):
-    """Smoothed states by the backward Petz-recovery recursion.
+def petz_fuchs_recursive(filtered_states, record, p: ModelParams,
+                         ops: StepOperators | None = None):
+    """Smoothed states by the backward Petz-recovery recursion along the
+    (n,) outcomes `record`, given the (n+1, 2, 2) filtered states.
 
     Each step recovers the next smoothed state through the one-step
     conditional map with the stored filtered state as reference prior; the
@@ -220,11 +219,13 @@ def petz_fuchs_recursive(filtered_states, record: MeasurementRecord,
     ops = build_step_operators(p) if ops is None else ops
     states = np.asarray(filtered_states, dtype=complex)
     n = len(record)
+    if len(states) != n + 1:
+        raise ValueError(f"record has {n} steps but there are {len(states)} filtered states")
     out = np.empty_like(states)
     last = states[n] / trace_of(states[n]).real
     out[n] = last
     for s in range(n - 1, -1, -1):
-        fmap = ops.conditional_map(record.outcomes[s])
+        fmap = ops.conditional_map(record[s])
         rec = channels.petz_recover(fmap, states[s], last)
         tr = trace_of(rec).real
         if tr <= ZERO_TRACE_TOL:
@@ -234,25 +235,17 @@ def petz_fuchs_recursive(filtered_states, record: MeasurementRecord,
     return out
 
 
-@dataclass(eq=False)
-class SwvOutcome:
-    state: np.ndarray
-    min_eigenvalue: float
-
-
 def swv_state(filtered, effect):
     """Smoothed weak-valued state (rho E + E rho) / (2 Tr[rho E]).
 
-    Hermitian and unit trace but not guaranteed PSD; the smallest
-    eigenvalue is reported alongside so callers can see when it fails.
+    Hermitian and unit trace but not guaranteed PSD.
     """
     rho = np.asarray(filtered, dtype=complex)
     e = np.asarray(effect, dtype=complex)
     tr = trace_of(mm(rho, e)).real
     if tr <= ZERO_TRACE_TOL:
         raise ZeroTraceError("Tr[rho E] vanishes")
-    state = (mm(rho, e) + mm(e, rho)) / (2.0 * tr)
-    return SwvOutcome(state=state, min_eigenvalue=qmath.min_eigenvalue(state))
+    return (mm(rho, e) + mm(e, rho)) / (2.0 * tr)
 
 
 def swv_purity_series(r, e):
@@ -272,12 +265,11 @@ def swv_purity_series(r, e):
 
 @dataclass(eq=False)
 class SmoothingResult:
-    """Forward filtering plus backward smoothing along one record. The
-    `*_coords` series are (n+1, 4) coordinates in `BASIS`; `filtered`,
-    `effects` and `smoothed` give them as matrices."""
+    """Forward filtering plus backward smoothing along one record, the (n,)
+    outcomes `record`. The `*_coords` series are (n+1, 4) coordinates in
+    `BASIS`; `filtered` and `smoothed` give theirs as matrices."""
 
-    params: ModelParams
-    record: MeasurementRecord
+    record: np.ndarray
     times: np.ndarray
     filtered_coords: np.ndarray
     log_weight: np.ndarray
@@ -287,7 +279,6 @@ class SmoothingResult:
     purity_filtered: np.ndarray
     purity_smoothed: np.ndarray
     filtered = matrix_property("filtered_coords")
-    effects = matrix_property("effect_coords")
     smoothed = matrix_property("smoothed_coords")
 
     @property
@@ -308,7 +299,7 @@ def smooth_trajectory(p: ModelParams, traj_index=0,
     eff = retrofilter(fr.record, p, ops=ops)
     smoothed = petz_fuchs_series(fr.coords.T, eff.coords.T, traj0=traj_index)
     return SmoothingResult(
-        params=p, record=fr.record, times=fr.times,
+        record=fr.record, times=p.times,
         filtered_coords=fr.coords, log_weight=fr.log_weight,
         effect_coords=eff.coords, effect_log_scale=eff.log_scale, smoothed_coords=smoothed.T,
         purity_filtered=qubit_statistics(fr.coords.T)[0],
@@ -353,11 +344,9 @@ class GwResult:
     true state before mixing. `ess` is sum(w)/max(w) per grid point.
     """
 
-    times: np.ndarray
     gw: np.ndarray
     gw_pf: np.ndarray
     ess: np.ndarray
-    n_bob: int
 
 
 def _combine_true_states(true_states, log_v, effect_vectors):
@@ -385,9 +374,9 @@ def _combine_true_states(true_states, log_v, effect_vectors):
     return to_matrix(gw), to_matrix(gw_pf), ess
 
 
-def gw_smooth(record: MeasurementRecord, p: ModelParams, bob_unraveling,
-              n_bob, seed) -> GwResult:
-    """Monte-Carlo two-observer smoothing along a fixed observed record.
+def gw_smooth(record, p: ModelParams, bob_unraveling, n_bob, seed) -> GwResult:
+    """Monte-Carlo two-observer smoothing along a fixed observed record, the
+    (n,) outcomes `record`.
 
     Propagates `n_bob` true-state trajectories with the observed outcome
     clamped to the record and the unobserved outcome sampled from its
@@ -411,7 +400,7 @@ def gw_smooth(record: MeasurementRecord, p: ModelParams, bob_unraveling,
     true_states[0] = to_vector(p.rho0)[:, None]
     r = true_states[0]
     for s in range(n):
-        stack = _true_state_stack(alice, bob, record.outcomes[s])
+        stack = _true_state_stack(alice, bob, record[s])
         z, u, summary = forward_step(bob, stack, r, noise[s])
         tr = vector_trace(u)
         if bob.unraveling == "jump":
@@ -431,12 +420,13 @@ def gw_smooth(record: MeasurementRecord, p: ModelParams, bob_unraveling,
         raise DegenerateWeightsError(
             f"effective sample size {np.min(ess):.2f} < 2 "
             f"at t index {int(np.argmin(ess))}")
-    return GwResult(times=p.times, gw=gw, gw_pf=gw_pf, ess=ess, n_bob=n_bob)
+    return GwResult(gw=gw, gw_pf=gw_pf, ess=ess)
 
 
-def gw_enumerate(record: MeasurementRecord, p: ModelParams):
-    """Exact two-observer smoothing by enumerating every unobserved
-    photon-counting record of the second observer.
+def gw_enumerate(record, p: ModelParams):
+    """Exact two-observer smoothing along the (n,) outcomes `record`, by
+    enumerating every unobserved photon-counting record of the second
+    observer.
 
     Exponential in the record length; intended for short horizons. Returns
     (GwResult, alice_filtered) where alice_filtered is the sum of
@@ -455,7 +445,7 @@ def gw_enumerate(record: MeasurementRecord, p: ModelParams):
     # unobserved outcomes of a branch stay adjacent
     per_time = [to_vector(p.rho0)[:, None]]
     for s in range(n):
-        u = stack_products(_true_state_stack(alice, bob, record.outcomes[s]), per_time[-1])
+        u = stack_products(_true_state_stack(alice, bob, record[s]), per_time[-1])
         per_time.append(u.reshape(2, 4, -1).transpose(1, 2, 0).reshape(4, -1))
     filtered = to_matrix(np.array([b.sum(axis=1) for b in per_time]))
 
@@ -468,5 +458,4 @@ def gw_enumerate(record: MeasurementRecord, p: ModelParams):
     gw, gw_pf, _ = _combine_true_states(
         branches / traces[:, None], np.log(traces), eff.coords)
     ess = np.full(n + 1, np.nan)
-    return GwResult(times=p.times, gw=gw, gw_pf=gw_pf, ess=ess,
-                    n_bob=2 ** n), filtered
+    return GwResult(gw=gw, gw_pf=gw_pf, ess=ess), filtered

@@ -19,6 +19,7 @@ from qsmooth.dynamics import (
     build_step_operators,
     filter_batch,
     filter_trajectory,
+    to_matrix,
 )
 from qsmooth.ensemble import EnsembleSpec, run_ensemble
 
@@ -136,7 +137,7 @@ def test_criterion_8_swv_unphysical_and_identity():
     # part (a): some smoothed weak-valued state exceeds unit purity
     p = ModelParams(unraveling="jump", seed=55, **BASE)
     ops = build_step_operators(p)
-    outcomes, _, states, _ = filter_batch(p, ops, range(240))
+    outcomes, states, _ = filter_batch(p, ops, range(240))
     with_click = np.nonzero((outcomes >= 0.5).any(axis=0))[0][:200]
     assert len(with_click) == 200
     states = states[:, :, with_click]
@@ -163,7 +164,7 @@ def test_criterion_9_two_observer_equivalence():
     exact, alice = smoothing.gw_enumerate(fr.record, p)
     equiv = float(np.max(np.abs(exact.gw - exact.gw_pf)))
     alice_norm = alice / np.einsum("tii->t", alice).real[:, None, None]
-    filt_dev = float(np.max(np.abs(alice_norm - fr.states)))
+    filt_dev = float(np.max(np.abs(alice_norm - to_matrix(fr.coords))))
 
     mc1 = smoothing.gw_smooth(fr.record, p, "jump", n_bob=1000, seed=123)
     mc4 = smoothing.gw_smooth(fr.record, p, "jump", n_bob=4000, seed=123)

@@ -172,6 +172,11 @@ class TestIntegerRange:
         ["simulate", "--smoothers", "petz_fuchs,kalman"],
         ["simulate", "--rho0", "0,1"],
         ["simulate", "--rho0", "0.8,0,0.8"],
+        ["simulate", "--rho0", "nan,0,0"],
+        ["simulate", "--nbar", "nan"],
+        ["simulate", "--unraveling", "homodyne_x", "--phi", "nan"],
+        ["simulate", "--omega", "inf"],
+        ["simulate", "--t-final", "nan"],
         ["simulate", "--seed", "1.5"],
         ["simulate", "--format", "xml"],
         # the text after --config is written to a config file
@@ -183,8 +188,13 @@ class TestIntegerRange:
             cfgfile = tmp_path / "run.cfg"
             cfgfile.write_text(args[-1] + "\n")
             args = args[:-1] + [str(cfgfile)]
-        assert run(args + ["--t-final", "0.01", "--out", str(tmp_path / "x")]) == 2
-        assert "qsmooth: config error:" in capsys.readouterr().err
+        if "--t-final" not in args:
+            args = args + ["--t-final", "0.01"]
+        assert run(args + ["--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "qsmooth: config error:" in err
+        if "heterodyne" in args:
+            assert "got 'heterodyne'" in err
         assert not (tmp_path / "x").exists()
 
     def test_single_second_observer_sample_is_numerical_failure(self, tmp_path, capsys):

@@ -56,6 +56,10 @@ class TestModelParams:
         dict(gamma=0.0),
         dict(unraveling="heterodyne"),
         dict(dt=0.9),  # gamma (nbar+1) dt would reach 1.35
+        dict(omega=np.inf),
+        dict(nbar=np.nan),
+        dict(unraveling="homodyne_x", phi=np.nan),
+        dict(t_final=np.nan),
     ])
     def test_rejects_invalid(self, bad):
         with pytest.raises(InvalidParamsError):
@@ -66,6 +70,8 @@ class TestModelParams:
             params(rho0=np.array([[1.0, 0.5], [0.1, 0.0]]))
         with pytest.raises(InvalidParamsError):
             params(rho0=np.diag([2.0, -1.0]).astype(complex))
+        with pytest.raises(InvalidParamsError, match="non-finite"):
+            params(rho0=np.diag([np.nan, 0.0]))
 
     def test_phi_resolution(self):
         assert params(unraveling="homodyne_x").phi == 0.0
@@ -187,7 +193,7 @@ class TestSampleStep:
 
     def test_dark_state_never_clicks(self):
         p = one_step(omega=0.0, nbar=0.0)
-        outcomes, _, _, _ = filter_batch(p, build_step_operators(p), range(50))
+        outcomes, _, _ = filter_batch(p, build_step_operators(p), range(50))
         assert np.all(outcomes == 0.0)
 
     def test_impossible_click_raises_with_indices(self, monkeypatch):
@@ -213,22 +219,21 @@ class TestSampleStep:
         # cannot act on the excited state
         assert p1 == pytest.approx(p.gamma * (p.nbar + 1.0) * p.dt, rel=1e-12)
         n = 20000
-        outcomes, _, _, _ = filter_batch(p, ops, range(n))
+        outcomes, _, _ = filter_batch(p, ops, range(n))
         se = np.sqrt(p1 * (1 - p1) / n)
         assert abs(outcomes.mean() - p1) < 3 * se
 
     def test_homodyne_mean_current(self):
         p = one_step(unraveling="homodyne_x", rho0=qmath.bloch_state(0.6, 0.0, 0.2))
         n = 100_000
-        outcomes, _, _, _ = filter_batch(p, build_step_operators(p), range(n))
+        outcomes, _, _ = filter_batch(p, build_step_operators(p), range(n))
         target = np.sqrt(p.gamma * (p.nbar + 1.0)) * 0.6
         se = (1.0 / np.sqrt(p.dt)) / np.sqrt(n)
         assert abs(outcomes.mean() - target) < 3 * se
 
-    def test_homodyne_reports_noise(self):
+    def test_homodyne_outcomes_finite(self):
         p = one_step(unraveling="homodyne_y")
-        outcomes, noise, _, _ = filter_batch(p, build_step_operators(p), [0])
-        assert noise is not None and noise.shape == outcomes.shape
+        outcomes, _, _ = filter_batch(p, build_step_operators(p), [0])
         assert np.all(np.isfinite(outcomes))
 
 
@@ -248,7 +253,7 @@ class TestTransferCore:
             rho /= trace_of(rho).real
             e = mm(dag(g), g)
             e /= np.abs(e).max()
-            if p.is_homodyne:  # a current drawn at three times its typical size
+            if unraveling != "jump":  # a current drawn at three times its typical size
                 y = 3.0 * rng.normal(0.0, 1.0 / np.sqrt(p.dt))
             else:
                 y = float(rng.integers(0, 2))
@@ -296,12 +301,12 @@ class TestClickSparseForward:
     def test_columns_match_single_runs_and_dense_steps(self, forced_clicks):
         p = params(t_final=0.02, seed=2)
         ops = build_step_operators(p)
-        outcomes, _, states, logw = filter_batch(p, ops, range(12))
+        outcomes, states, logw = filter_batch(p, ops, range(12))
         clicks = outcomes.sum(axis=1)
         assert np.any((clicks > 0) & (clicks < 12))  # steps with a mix of columns
         for col in range(12):
             one = filter_trajectory(p, traj_index=col, ops=ops)
-            assert np.array_equal(outcomes[:, col], one.record.outcomes)
+            assert np.array_equal(outcomes[:, col], one.record)
             assert np.array_equal(states[:, :, col], one.coords)
             assert np.array_equal(logw[:, col], one.log_weight)
         for s, y in enumerate(outcomes):
@@ -315,8 +320,8 @@ class TestFilterTrajectory:
     def test_dark_state_constant(self):
         p = params(omega=0.0, nbar=0.0, t_final=0.5)
         fr = filter_trajectory(p)
-        assert not np.any(fr.record.outcomes)
-        assert np.max(np.abs(fr.states - GROUND)) < 1e-12
+        assert not np.any(fr.record)
+        assert np.max(np.abs(to_matrix(fr.coords) - GROUND)) < 1e-12
         assert np.max(np.abs(fr.log_weight)) < 1e-12
 
     def test_unnormalized_trace_is_product_of_step_probabilities(self):
@@ -325,16 +330,16 @@ class TestFilterTrajectory:
         fr = filter_trajectory(p)
         log_prob = 0.0
         for s in range(p.n_steps):
-            rho_k = channels.apply(ops.dissipation_map(), fr.states[s])
+            rho_k = channels.apply(ops.dissipation_map(), to_matrix(fr.coords[s]))
             p1 = p.dt * trace_of(mm(ops.ctc, rho_k)).real / trace_of(rho_k).real
-            step_p = p1 if fr.record.outcomes[s] >= 0.5 else 1.0 - p1
+            step_p = p1 if fr.record[s] >= 0.5 else 1.0 - p1
             log_prob += np.log(step_p)
             assert abs(fr.log_weight[s + 1] - log_prob) < 1e-10
 
     def test_single_detection_records_exist(self):
         p = params(seed=0)
         ops = build_step_operators(p)
-        outcomes, _, _, _ = filter_batch(p, ops, range(32))
+        outcomes, _, _ = filter_batch(p, ops, range(32))
         detections = (outcomes >= 0.5).sum(axis=0)
         assert np.any(detections == 1)
 
@@ -342,27 +347,26 @@ class TestFilterTrajectory:
         p = params(t_final=0.5, seed=9)
         a = filter_trajectory(p)
         b = filter_trajectory(p)
-        assert np.array_equal(a.record.outcomes, b.record.outcomes)
-        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(a.record, b.record)
+        assert np.array_equal(a.coords, b.coords)
         assert np.array_equal(a.log_weight, b.log_weight)
 
     def test_batch_member_matches_single(self):
         for unraveling in ("jump", "homodyne_x"):
             p = params(unraveling=unraveling, t_final=0.3, seed=4)
             ops = build_step_operators(p)
-            outcomes, noise, states, logw = filter_batch(p, ops, range(8))
+            outcomes, states, logw = filter_batch(p, ops, range(8))
             single = filter_trajectory(p, traj_index=5, ops=ops)
-            assert np.array_equal(outcomes[:, 5], single.record.outcomes)
-            assert np.array_equal(to_matrix(states[:, :, 5]), single.states)
-            if noise is not None:
-                assert np.array_equal(noise[:, 5], single.record.ostensible_noise)
+            assert np.array_equal(outcomes[:, 5], single.record)
+            assert np.array_equal(states[:, :, 5], single.coords)
 
     def test_filtered_states_stay_physical(self):
         for unraveling in ("jump", "homodyne_x", "homodyne_y"):
             p = params(unraveling=unraveling, t_final=1.0, seed=11)
             fr = filter_trajectory(p)
-            assert qmath.min_eigenvalue_stack(fr.states).min() >= -1e-10
-            traces = np.einsum("tii->t", fr.states).real
+            states = to_matrix(fr.coords)
+            assert qmath.min_eigenvalue_stack(states).min() >= -1e-10
+            traces = np.einsum("tii->t", states).real
             assert np.max(np.abs(traces - 1.0)) < 1e-12
 
     def test_unnormalized_view(self):
@@ -372,9 +376,9 @@ class TestFilterTrajectory:
         ops = build_step_operators(p)
         fr = filter_trajectory(p, ops=ops)
         raw = np.asarray(p.rho0)
-        for s, y in enumerate(fr.record.outcomes):
+        for s, y in enumerate(fr.record):
             raw = channels.apply(ops.conditional_map(y), raw)
-            unnormalized = np.exp(fr.log_weight[s + 1]) * fr.states[s + 1]
+            unnormalized = np.exp(fr.log_weight[s + 1]) * to_matrix(fr.coords[s + 1])
             assert np.max(np.abs(unnormalized - raw)) / np.abs(raw).max() < 1e-12
 
     def test_batch_memory_stays_near_its_output(self):
@@ -387,7 +391,7 @@ class TestFilterTrajectory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        returned = sum(a.nbytes for a in out if a is not None)
+        returned = sum(a.nbytes for a in out)
         assert peak <= 1.25 * returned
 
     def test_distinct_streams(self):
@@ -404,7 +408,7 @@ class TestEnsembleMeanConsistency:
         for unraveling in ("jump", "homodyne_x"):
             p = params(unraveling=unraveling, t_final=1.5, seed=77)
             ops = build_step_operators(p)
-            _, _, states, _ = filter_batch(p, ops, range(n_traj))
+            _, states, _ = filter_batch(p, ops, range(n_traj))
             mean = to_matrix(states.mean(axis=2))
             uncond = unconditional_series(p)
             tol = 4.0 / np.sqrt(n_traj) + 5.0 * p.dt

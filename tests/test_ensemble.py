@@ -26,12 +26,12 @@ def _zero_filtered_states(monkeypatch, entries):
     original = ens.filter_batch
 
     def zeroed(p, ops, traj_indices):
-        outcomes, noise, states, log_weight = original(p, ops, traj_indices)
+        outcomes, states, log_weight = original(p, ops, traj_indices)
         rows = list(traj_indices)
         for time, traj in entries:
             if traj in rows:
                 states[time, :, rows.index(traj)] = 0.0
-        return outcomes, noise, states, log_weight
+        return outcomes, states, log_weight
 
     monkeypatch.setattr(ens, "filter_batch", zeroed)
 

@@ -3,7 +3,6 @@ import pytest
 
 from qsmooth import channels, qmath, smoothing
 from qsmooth.dynamics import (
-    MeasurementRecord,
     ModelParams,
     build_step_operators,
     filter_trajectory,
@@ -71,14 +70,15 @@ class TestEnumerated:
         fr = filter_trajectory(p)
         _, alice = gw_enumerate(fr.record, p)
         alice_norm = alice / np.einsum("tii->t", alice).real[:, None, None]
-        assert np.max(np.abs(alice_norm - fr.states)) < 1e-12
+        assert np.max(np.abs(alice_norm - to_matrix(fr.coords))) < 1e-12
 
     def test_final_time_returns_filtered(self):
         p = params()
         fr = filter_trajectory(p)
         res, _ = gw_enumerate(fr.record, p)
-        assert np.max(np.abs(res.gw[-1] - fr.states[-1])) < 1e-10
-        assert np.max(np.abs(res.gw_pf[-1] - fr.states[-1])) < 1e-10
+        final = to_matrix(fr.coords[-1])
+        assert np.max(np.abs(res.gw[-1] - final)) < 1e-10
+        assert np.max(np.abs(res.gw_pf[-1] - final)) < 1e-10
 
     def test_mixed_initial_state_separates_estimators(self):
         p = params(rho0=np.diag([0.5, 0.5]).astype(complex), seed=3)
@@ -97,7 +97,7 @@ class TestEnumerated:
         # with no drive and no absorption, two clicks in a row leave the
         # emitter no time to be re-excited: no state can produce the record
         p = params(omega=0.0, nbar=0.0, t_final=0.05)
-        record = MeasurementRecord("jump", p.dt, np.array([0.0, 1.0, 1.0, 0.0, 0.0]))
+        record = np.array([0.0, 1.0, 1.0, 0.0, 0.0])
         with np.errstate(all="raise"), pytest.raises(ZeroTraceError, match="time index 1"):
             gw_enumerate(record, p)
 
@@ -152,7 +152,7 @@ class TestMonteCarlo:
     def test_impossible_record_raises(self):
         # at eta = 0 the monitored channel never clicks
         p = params(eta=0.0, t_final=0.05)
-        record = MeasurementRecord("jump", p.dt, np.array([0.0, 0.0, 1.0, 0.0, 0.0]))
+        record = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
         with np.errstate(all="raise"), pytest.raises(ZeroTraceError, match="time index 2"):
             gw_smooth(record, p, "jump", n_bob=50, seed=1)
 

@@ -177,13 +177,6 @@ class TestStackRoutines:
         for i, m in enumerate(mats):
             assert fast[i] == pytest.approx(min_eigenvalue(m), abs=1e-11)
 
-    def test_dim3_fallback(self):
-        rng = np.random.default_rng(0)
-        g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        m = mm(g, dag(g))
-        s = qmath.sqrt_psd_stack(m[None])[0]
-        assert np.max(np.abs(mm(s, s) - m)) < 1e-10
-
 
 class TestBloch:
     def test_roundtrip(self):

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from qsmooth import channels, qmath, smoothing
 from qsmooth.dynamics import (
     BASIS,
-    MeasurementRecord,
     ModelParams,
     build_step_operators,
     filter_trajectory,
     stack_products,
+    to_matrix,
     to_vector,
     vector_trace,
 )
@@ -168,7 +168,8 @@ class TestCoordinateSeries:
         kappa = np.linalg.norm(rho) * np.linalg.norm(effect) / tr
         assume(kappa < 1e9)
         ref = swv_state(rho, effect)
-        ref_purity = trace_of(mm(ref.state, ref.state)).real
+        ref_purity = trace_of(mm(ref, ref)).real
+        ref_low = qmath.min_eigenvalue(ref)
         purity, low = swv_purity_series(to_vector(rho)[:, None],
                                         to_vector(effect)[:, None])
         # Both routes divide by Tr[rho E], whose relative rounding error is
@@ -176,7 +177,7 @@ class TestCoordinateSeries:
         # as its inverse square: 1e-12 up to kappa = 100, then growing with it
         tol = 1e-12 * max(1.0, 1e-2 * kappa)
         assert abs(purity[0] - ref_purity) <= tol * max(1.0, ref_purity)
-        assert abs(low[0] - ref.min_eigenvalue) <= tol * max(1.0, abs(ref.min_eigenvalue))
+        assert abs(low[0] - ref_low) <= tol * max(1.0, abs(ref_low))
 
     def test_zero_weight_names_time_index(self):
         r = np.repeat(to_vector(GROUND)[:, None], 6, axis=1)
@@ -197,7 +198,7 @@ class TestRetrofilter:
         p = params(t_final=0.2)
         fr = filter_trajectory(p)
         eff = retrofilter(fr.record, p)
-        assert np.allclose(eff.effects[-1], np.eye(2))
+        assert np.allclose(to_matrix(eff.coords[-1]), np.eye(2))
         assert eff.log_scale[-1] == 0.0
 
     @pytest.mark.parametrize("unraveling", ["jump", "homodyne_x", "homodyne_y"])
@@ -211,7 +212,7 @@ class TestRetrofilter:
         p = params(t_final=1.0, seed=3)
         fr = filter_trajectory(p)
         eff = retrofilter(fr.record, p)
-        assert qmath.min_eigenvalue_stack(eff.effects).min() >= -1e-10
+        assert qmath.min_eigenvalue_stack(to_matrix(eff.coords)).min() >= -1e-10
 
     def test_rescaling_bookkeeping(self):
         # effects are rescaled on every step; undoing the bookkeeping must
@@ -223,10 +224,10 @@ class TestRetrofilter:
             eff = retrofilter(fr.record, p, ops=ops)
             raw = np.eye(2, dtype=complex)
             for i in range(p.n_steps - 1, -1, -1):
-                fmap = ops.conditional_map(fr.record.outcomes[i])
+                fmap = ops.conditional_map(fr.record[i])
                 raw = channels.adjoint_apply(fmap, raw)
                 assert eff.log_scale[i] != 0.0
-                unnormalized = np.exp(eff.log_scale[i]) * eff.effects[i]
+                unnormalized = np.exp(eff.log_scale[i]) * to_matrix(eff.coords[i])
                 dev = np.max(np.abs(unnormalized - raw)) / np.abs(raw).max()
                 assert dev < 1e-12
 
@@ -242,7 +243,7 @@ class TestRetrofilter:
             ops = build_step_operators(p)
             rng = np.random.default_rng(6)
             effects = rng.normal(size=(8, 4)).T
-            outcomes = rng.normal(0.0, 30.0, size=8) if p.is_homodyne \
+            outcomes = rng.normal(0.0, 30.0, size=8) if unraveling != "jump" \
                 else rng.integers(0, 2, size=8).astype(float)
             if clicks is not None:
                 outcomes = self.CLICKS[clicks]
@@ -276,7 +277,7 @@ class TestRetrofilter:
     def test_impossible_record_raises(self):
         # at eta = 0 no state can produce a click
         p = params(eta=0.0, dt=1e-2, t_final=0.05)
-        record = MeasurementRecord("jump", p.dt, np.array([0.0, 0.0, 1.0, 0.0, 0.0]))
+        record = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
         with np.errstate(all="raise"), pytest.raises(ZeroTraceError, match="time index 2"):
             retrofilter(record, p)
 
@@ -293,7 +294,7 @@ class TestRetrofilter:
                 raw = np.eye(2, dtype=complex)
                 for y in reversed(bits):
                     raw = channels.adjoint_apply(ops.conditional_map(y), raw)
-                record = MeasurementRecord("jump", dt, np.array(bits))
+                record = np.array(bits)
                 if np.all(raw == 0.0):
                     n_impossible += 1
                     with pytest.raises(ZeroTraceError):
@@ -307,8 +308,8 @@ class TestRetrofilter:
         p = params(omega=0.0, nbar=0.0, t_final=0.3)
         ops = build_step_operators(p)
         res = smooth_trajectory(p)
-        assert not np.any(res.record.outcomes)
-        for eff in res.effects:
+        assert not np.any(res.record)
+        for eff in to_matrix(res.effect_coords):
             comm = mm(eff, ops.m0) - mm(ops.m0, eff)
             assert np.max(np.abs(comm)) < 1e-12
         assert np.max(np.abs(res.smoothed - res.filtered)) < 1e-12
@@ -353,7 +354,7 @@ class TestPetzFuchs:
         p = params(t_final=0.3, seed=5)
         res = smooth_trajectory(p)
         for i in (0, 57, p.n_steps):
-            single = petz_fuchs(res.filtered[i], res.effects[i])
+            single = petz_fuchs(res.filtered[i], to_matrix(res.effect_coords[i]))
             assert np.max(np.abs(single - res.smoothed[i])) < 1e-12
 
 
@@ -376,8 +377,18 @@ class TestRecursion:
         # improve on it, so the recursion returns the forward states.
         p = params(nbar=0.0, t_final=0.5, seed=4)
         fr = filter_trajectory(p)
-        rec = petz_fuchs_recursive(fr.states, fr.record, p)
-        assert np.max(np.abs(rec - fr.states)) < 1e-9
+        states = to_matrix(fr.coords)
+        rec = petz_fuchs_recursive(states, fr.record, p)
+        assert np.max(np.abs(rec - states)) < 1e-9
+
+    @pytest.mark.parametrize("n_record", [4, 11])
+    def test_record_length_must_match_states(self, n_record):
+        # the 11 filtered states belong to a 10-step record
+        p = params(dt=1e-2, t_final=0.1, seed=8)
+        res = smooth_trajectory(p)
+        with pytest.raises(ValueError, match=f"record has {n_record} steps but there are "
+                                             "11 filtered states"):
+            petz_fuchs_recursive(res.filtered, np.zeros(n_record), p)
 
     def test_full_length_record(self):
         # the full default horizon, including effect rescalings
@@ -391,13 +402,13 @@ class TestSwv:
     def test_commuting_inputs_match_petz_fuchs(self):
         rho = np.diag([0.6, 0.4]).astype(complex)
         e = np.diag([0.8, 0.1]).astype(complex)
-        assert np.max(np.abs(swv_state(rho, e).state - petz_fuchs(rho, e))) < 1e-12
+        assert np.max(np.abs(swv_state(rho, e) - petz_fuchs(rho, e))) < 1e-12
 
     def test_identity_effect(self):
         rng = np.random.default_rng(3)
         rho = random_state(rng)
         out = swv_state(rho, np.eye(2))
-        assert np.max(np.abs(out.state - rho)) < 1e-12
+        assert np.max(np.abs(out - rho)) < 1e-12
 
     def test_double_commutator_identity(self):
         rng = np.random.default_rng(4)
@@ -405,7 +416,7 @@ class TestSwv:
             rho = random_state(rng)
             e = random_effect(rng)
             pf = petz_fuchs(rho, e)
-            swv = swv_state(rho, e).state
+            swv = swv_state(rho, e)
             root = qmath.hermitian_sqrt(rho)
             comm = mm(e, root) - mm(root, e)
             dc = mm(comm, root) - mm(root, comm)
@@ -413,11 +424,13 @@ class TestSwv:
             assert np.max(np.abs(pf - (swv - dc / (2.0 * tr)))) < 1e-10
 
     def test_unit_trace_and_reported_eigenvalue(self):
+        # the smallest eigenvalue the coordinate series reports is the state's
         rng = np.random.default_rng(5)
-        out = swv_state(random_state(rng), random_effect(rng))
-        assert trace_of(out.state).real == pytest.approx(1.0, abs=1e-12)
-        assert out.min_eigenvalue == pytest.approx(
-            qmath.min_eigenvalue(out.state), abs=1e-12)
+        rho, e = random_state(rng), random_effect(rng)
+        out = swv_state(rho, e)
+        assert trace_of(out).real == pytest.approx(1.0, abs=1e-12)
+        _, low = swv_purity_series(to_vector(rho)[:, None], to_vector(e)[:, None])
+        assert low[0] == pytest.approx(qmath.min_eigenvalue(out), abs=1e-12)
 
 
 class TestSmoothTrajectory:
@@ -447,7 +460,7 @@ class TestLongHorizon:
         p = params(t_final=20.0, seed=3)
         res = smooth_trajectory(p)
         lp = res.log_pairing
-        assert np.all(np.isfinite(res.effects.ravel()))
+        assert np.all(np.isfinite(res.effect_coords))
         assert (lp.max() - lp.min()) / abs(lp.mean()) < 1e-8
         assert qmath.min_eigenvalue_stack(res.smoothed).min() >= -1e-10
 
@@ -500,19 +513,17 @@ class TestCriterion2MonteCarloHomodyne:
         n_fut = 400
         ops = build_step_operators(p)
         fr = filter_trajectory(p.replace(t_final=past_steps * p.dt))
-        rho_f = fr.states[-1]
+        rho_f = to_matrix(fr.coords[-1])
 
         from qsmooth.dynamics import filter_batch
         p_fut = p.replace(t_final=(p.n_steps - past_steps) * p.dt,
                           rho0=rho_f, seed=555)
-        outcomes, _, _, _ = filter_batch(p_fut, ops, range(n_fut))  # (steps, futures)
+        outcomes, _, _ = filter_batch(p_fut, ops, range(n_fut))  # (steps, futures)
         # effect pullback per sampled future, reusing the recorded outcomes
         acc = np.zeros((2, 2), dtype=complex)
         for i in range(n_fut):
-            rec = smoothing.MeasurementRecord(
-                unraveling=p.unraveling, dt=p.dt, outcomes=outcomes[:, i])
-            eff = retrofilter(rec, p_fut, ops=ops)
-            acc += petz_fuchs(rho_f, eff.effects[0])
+            eff = retrofilter(outcomes[:, i], p_fut, ops=ops)
+            acc += petz_fuchs(rho_f, to_matrix(eff.coords[0]))
         mean = acc / n_fut
         tol = 4.0 / np.sqrt(n_fut)
         assert np.max(np.abs(mean - rho_f)) < tol

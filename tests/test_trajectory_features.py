@@ -25,14 +25,14 @@ def single_jump_result():
     p = ModelParams(omega=5.0, nbar=0.5, unraveling="jump",
                     dt=1e-3, t_final=7.5, seed=0)
     res = smoothing.smooth_trajectory(p, traj_index=14)
-    assert np.sum(res.record.outcomes) == 1
+    assert np.sum(res.record) == 1
     return res
 
 
 class TestLibraryLevel:
     def test_smoothed_purer_before_the_jump(self, single_jump_result):
         res = single_jump_result
-        t_jump = np.nonzero(res.record.outcomes >= 0.5)[0][0] * res.params.dt
+        t_jump = res.times[np.flatnonzero(res.record)[0]]
         pre = res.times < t_jump
         gap = res.purity_smoothed[pre] - res.purity_filtered[pre]
         assert gap.min() > -0.01
@@ -40,7 +40,7 @@ class TestLibraryLevel:
 
     def test_rabi_oscillations_revived(self, single_jump_result):
         res = single_jump_result
-        t_jump = np.nonzero(res.record.outcomes >= 0.5)[0][0] * res.params.dt
+        t_jump = res.times[np.flatnonzero(res.record)[0]]
         win = (res.times > t_jump - 1.5) & (res.times < t_jump - 0.1)
         fx = 2 * res.filtered[win, 1, 0].real
         sx = 2 * res.smoothed[win, 1, 0].real
@@ -56,7 +56,7 @@ class TestLibraryLevel:
 
     def test_smoothed_sometimes_less_pure_after_the_jump(self, single_jump_result):
         res = single_jump_result
-        t_jump = np.nonzero(res.record.outcomes >= 0.5)[0][0] * res.params.dt
+        t_jump = res.times[np.flatnonzero(res.record)[0]]
         post = res.times > t_jump
         gap = res.purity_smoothed[post] - res.purity_filtered[post]
         assert gap.min() < 0.0
