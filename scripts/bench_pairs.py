@@ -11,7 +11,14 @@ that runs first alternates from pair to pair. Every run's last stdout line
 `--out-dir` with the keys `tag`, `what`, `machine`, `pairs` and `summary`.
 The summary gives, per workload and end-to-end metric, each side's median
 and quartiles, the pairs the change won (by the direction BENCHMARK.json
-gives the metric) and the ratio of the medians, change over parent.
+gives the metric), the ratio of the medians, change over parent, and a
+verdict against the metric's relative `bound` in BENCHMARK.json:
+
+- `worse`: the change's median is worse than the parent's by more than the
+  bound;
+- `unresolved`: the parent's (q3 - q1) / median exceeds the bound, and not
+  every change run beats every parent run;
+- `within_bound`: otherwise.
 
 `--quick` runs the benchmark at its self-test sizes with 1-second runs, to
 check the tool itself; its numbers measure nothing.
@@ -53,8 +60,22 @@ def run_side(checkout, workload, seed, seconds, quick):
     return json.loads(lines[-1]), machine
 
 
-def summarize(pairs, better):
-    """Per-workload medians, quartiles, wins and ratios of every metric."""
+def verdict(row, parent, change, sign, bound):
+    """`worse`, `unresolved` or `within_bound` for one metric's summary row
+    and its per-run values (see the module docstring); `sign` is 1 when
+    higher is better, -1 when lower is."""
+    if sign * (row["parent_median"] - row["change_median"]) > bound * row["parent_median"]:
+        return "worse"
+    spread = (row["parent_q3"] - row["parent_q1"]) / row["parent_median"]
+    beats_all = min(sign * c for c in change) > max(sign * p for p in parent)
+    if spread > bound and not beats_all:
+        return "unresolved"
+    return "within_bound"
+
+
+def summarize(pairs, end_to_end):
+    """Per-workload medians, quartiles, wins, ratios and verdicts of every
+    metric; `end_to_end` maps a metric name to its BENCHMARK.json entry."""
     summary = {}
     for workload in dict.fromkeys(p["workload"] for p in pairs):
         runs = [p for p in pairs if p["workload"] == workload]
@@ -67,10 +88,14 @@ def summarize(pairs, better):
                 q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
                                   if len(values) > 1 else values * 3)
                 row.update({f"{side}_median": median, f"{side}_q1": q1, f"{side}_q3": q3})
-            sign = 1.0 if better.get(metric, "higher") == "higher" else -1.0
+            better = end_to_end.get(metric, {}).get("better", "higher")
+            sign = 1.0 if better == "higher" else -1.0
             row["change_wins"] = sum(sign * (c - p) > 0.0
                                      for p, c in zip(sides["parent"], sides["change"]))
             row["ratio_change_over_parent"] = row["change_median"] / row["parent_median"]
+            if metric in end_to_end:
+                row["verdict"] = verdict(row, sides["parent"], sides["change"], sign,
+                                         end_to_end[metric]["bound"])
             entry[metric] = row
         entry["failed"] = {
             "parent": sum(r["parent"]["failed"] for r in runs),
@@ -96,7 +121,7 @@ def main(argv=None):
     counts = parse_pairs(args.pairs)
     seconds = 1.0 if args.quick else SECONDS
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    end_to_end = {m["name"]: m for m in bench["end_to_end"]}
 
     pairs, machine = [], None
     for j, (workload, count) in enumerate(counts.items()):
@@ -122,7 +147,7 @@ def main(argv=None):
                  "(the result line)."),
         "machine": machine,
         "pairs": pairs,
-        "summary": summarize(pairs, better),
+        "summary": summarize(pairs, end_to_end),
     }
     path = args.out_dir / f"BENCH_{datetime.date.today().isoformat()}_{args.tag}.json"
     path.write_text(json.dumps(doc, indent=1) + "\n")

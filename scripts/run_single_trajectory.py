@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from qsmooth import qmath, smoothing
+from qsmooth import smoothing
 from qsmooth.dynamics import ModelParams, build_step_operators, filter_batch
 
 
@@ -60,14 +60,13 @@ def main():
     jumps = np.nonzero(res.record >= 0.5)[0] * p.dt
     print(f"trajectory index {chosen}: detections at t = {np.round(jumps, 3)}")
 
-    bf, bs = qmath.bloch_vector(res.filtered), qmath.bloch_vector(res.smoothed)
+    bf = smoothing.qubit_statistics(res.filtered_coords.T)[1]
+    bs = smoothing.qubit_statistics(res.smoothed_coords.T)[1]
     cfg = {"omega": args.omega, "nbar": args.nbar, "dt": args.dt,
            "t_final": args.t_final, "seed": args.seed, "traj_index": chosen,
            "unraveling": "jump"}
-    rows = [[res.times[i], res.record[i - 1] if i else np.nan,
-             bf[i, 0], bf[i, 1], bf[i, 2], bs[i, 0], bs[i, 1], bs[i, 2],
-             res.purity_filtered[i], res.purity_smoothed[i]]
-            for i in range(len(res.times))]
+    rows = np.column_stack([res.times, np.concatenate([[np.nan], res.record]),
+                            bf.T, bs.T, res.purity_filtered, res.purity_smoothed])
     write_csv(args.out, cfg, "t,outcome,fx,fy,fz,sx,sy,sz,p_filt,p_smooth", rows)
     print(f"wrote {args.out}")
     return 0

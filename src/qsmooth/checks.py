@@ -53,14 +53,13 @@ def future_enumeration(p: ModelParams, past_steps=5, future_steps=6):
         raise ValueError("future enumeration is defined for the jump unraveling")
     if future_steps < 0 or future_steps > 16:
         raise ValueError("future_steps must lie in [0, 16]")
-    ops = build_step_operators(p)  # shared with `past`: they do not depend on t_final
     past = p.replace(t_final=max(past_steps, 1) * p.dt)
-    r = filter_trajectory(past, ops=ops).coords[past_steps]  # coords[0] is rho0
+    r = filter_trajectory(past).coords[past_steps]  # coords[0] is rho0
 
     # (steps, futures): one future per column
     futures = np.array(list(np.ndindex(*([2] * future_steps))), dtype=float).T
     weights = np.ones(futures.shape[1])
-    for _, e, scale in smoothing.backward_walk(ops, futures):
+    for _, e, scale in smoothing.backward_walk(build_step_operators(p), futures):
         weights *= scale
     weights *= r @ e  # p(future | past); the futures sum to 1
     # Below round-off a probability is 0 to the walk (its scales may even come
@@ -74,9 +73,8 @@ def future_enumeration(p: ModelParams, past_steps=5, future_steps=6):
 
 def closed_vs_recursive(p: ModelParams):
     """Criterion 3: the closed form equals the Petz-map recursion."""
-    ops = build_step_operators(p)
-    res = smoothing.smooth_trajectory(p, ops=ops)
-    rec = smoothing.petz_fuchs_recursive(res.filtered, res.record, p, ops=ops)
+    res = smoothing.smooth_trajectory(p)
+    rec = smoothing.petz_fuchs_recursive(res.filtered, res.record, p)
     return float(np.max(np.abs(res.smoothed - rec))), 1e-8
 
 
@@ -84,7 +82,7 @@ def diagonal_smoothing(p: ModelParams):
     """(smoothed states, normalized classical smoothed weights) along one
     record of diagonal dynamics: jump unraveling, omega = 0, diagonal rho0."""
     ops = build_step_operators(p)
-    res = smoothing.smooth_trajectory(p, ops=ops)
+    res = smoothing.smooth_trajectory(p)
     kernel = classical.diagonal_kernel({y: ops.conditional_map(y) for y in (0, 1)})
     record = [int(b) for b in res.record]
     cls = classical.smooth_bayes_series(kernel, record, np.diag(p.rho0).real)

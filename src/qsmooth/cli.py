@@ -223,20 +223,19 @@ def _write(cfg, columns, summary):
 
 def cmd_simulate(cfg):
     p = build_params(cfg)
-    ops = build_step_operators(p)
-    res = smoothing.smooth_trajectory(p, ops=ops)
+    res = smoothing.smooth_trajectory(p)
     smoothed = res.smoothed_coords.T
     if "recursive" in cfg["smoothers"]:
-        smoothed = to_vector(smoothing.petz_fuchs_recursive(
-            res.filtered, res.record, p, ops=ops)).T
+        smoothed = to_vector(smoothing.petz_fuchs_recursive(res.filtered, res.record, p)).T
     pur_f, bloch_f, _, _ = smoothing.qubit_statistics(res.filtered_coords.T)
     pur_s, bloch_s, low, _ = smoothing.qubit_statistics(smoothed)
+    bloch_u = smoothing.qubit_statistics(unconditional_series(p).T)[1]
     columns = [
         ("t", "times", res.times),
         ("outcome", "outcome", np.concatenate([[np.nan], res.record])),
         ("fx,fy,fz", "filtered_bloch", bloch_f.T),
         ("sx,sy,sz", "smoothed_bloch", bloch_s.T),
-        ("ux,uy,uz", "unconditional_bloch", qmath.bloch_vector(unconditional_series(p))),
+        ("ux,uy,uz", "unconditional_bloch", bloch_u.T),
         ("p_filt", "purity_filtered", pur_f),
         ("p_smooth", "purity_smoothed", pur_s),
     ]
@@ -247,11 +246,10 @@ def cmd_simulate(cfg):
     if "gw" in cfg["smoothers"]:
         gw = smoothing.gw_smooth(res.record, p, cfg["bob_unraveling"],
                                  cfg["n_bob"], seed=p.seed)
-        gb = qmath.bloch_vector(gw.gw)
-        extras.extend([("gx", gb[:, 0]), ("gy", gb[:, 1]), ("gz", gb[:, 2]),
-                       ("p_gw", np.einsum("tij,tji->t", gw.gw, gw.gw).real),
-                       ("p_gw_pf", np.einsum("tij,tji->t", gw.gw_pf, gw.gw_pf).real),
-                       ("gw_ess", gw.ess)])
+        pur_g, (gx, gy, gz), _, _ = smoothing.qubit_statistics(to_vector(gw.gw).T)
+        pur_g_pf = smoothing.qubit_statistics(to_vector(gw.gw_pf).T)[0]
+        extras.extend([("gx", gx), ("gy", gy), ("gz", gz), ("p_gw", pur_g),
+                       ("p_gw_pf", pur_g_pf), ("gw_ess", gw.ess)])
     columns.extend((name, name, col) for name, col in extras)
     _write(cfg, columns, {
         "pairing_rel_spread": checks.pairing_spread(res.log_pairing),

@@ -108,8 +108,8 @@ class ModelParams:
             raise InvalidParamsError("dt must be positive")
         if self.t_final < self.dt:
             raise InvalidParamsError("t_final must be at least dt")
-        if self.seed < 0:
-            raise InvalidParamsError(f"seed must be nonnegative, got {self.seed}")
+        if self.seed < 0 or self.seed % 1 != 0:
+            raise InvalidParamsError(f"seed must be a nonnegative integer, got {self.seed}")
         # Exact square roots of 1 - L^dag L dt require the arguments PSD.
         rate_meas = self.eta * self.gamma * (self.nbar + 1.0)
         rate_unmeas = self.gamma * self.nbar + (1.0 - self.eta) * self.gamma * (self.nbar + 1.0)
@@ -406,14 +406,14 @@ def forward_step(ops: StepOperators, stack, r, noise):
 # -- unconditional evolution ----------------------------------------------
 
 def unconditional_series(p: ModelParams):
-    """Unconditional evolution on the full grid, shape (n+1, 2, 2)."""
+    """Unconditional evolution on the full grid, as (n+1, 4) coordinates."""
     ops = build_step_operators(p)
     s_mat = transfer_matrix(ops.unconditional_map())
     r = np.empty((p.n_steps + 1, 4))
     r[0] = to_vector(p.rho0)
     for s in range(p.n_steps):
         r[s + 1] = s_mat @ r[s]
-    return to_matrix(r)
+    return r
 
 
 # -- records and filtering --------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qmath, smoothing
+from . import smoothing
 from .dynamics import ModelParams, build_step_operators, filter_batch
 
 _CHUNK = 512
@@ -146,8 +146,7 @@ def run_ensemble(spec: EnsembleSpec) -> EnsembleResult:
         g_mean = g_se = rel = np.nan
 
     from .dynamics import unconditional_series
-    uncond = unconditional_series(p)
-    uncond_purity = np.einsum("tij,tji->t", uncond, uncond).real
+    uncond_purity, uncond_bloch, _, _ = smoothing.qubit_statistics(unconditional_series(p).T)
 
     return EnsembleResult(
         times=times, n_traj=n_traj,
@@ -155,7 +154,7 @@ def run_ensemble(spec: EnsembleSpec) -> EnsembleResult:
         avg_purity_smoothed=ps_mean, se_purity_smoothed=ps_se,
         mean_bloch_filtered=bloch_sum[0] / n_traj,
         mean_bloch_smoothed=bloch_sum[1] / n_traj,
-        uncond_bloch=qmath.bloch_vector(uncond), uncond_purity=uncond_purity,
+        uncond_bloch=uncond_bloch.T, uncond_purity=uncond_purity,
         window=(lo, hi),
         purity_gain_mean=float(g_mean), purity_gain_se=float(g_se),
         relative_improvement=rel,

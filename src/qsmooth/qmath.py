@@ -120,15 +120,6 @@ def min_eigenvalue(m):
     return float(np.linalg.eigvalsh(hermitize(np.asarray(m, dtype=complex)))[0])
 
 
-def bloch_vector(states):
-    """(<sx>, <sy>, <sz>) of normalized qubit states, shape (..., 3)."""
-    out = np.empty(states.shape[:-2] + (3,))
-    out[..., 0] = 2.0 * states[..., 1, 0].real
-    out[..., 1] = 2.0 * states[..., 1, 0].imag
-    out[..., 2] = (states[..., 0, 0] - states[..., 1, 1]).real
-    return out
-
-
 def bloch_state(x, y, z):
     """Qubit density matrix with the given Bloch components."""
     r = np.sqrt(x * x + y * y + z * z)

@@ -109,14 +109,12 @@ def backward_walk(ops: StepOperators, outcomes):
         yield s, e, scale
 
 
-def retrofilter(record, p: ModelParams,
-                ops: StepOperators | None = None) -> EffectSeries:
+def retrofilter(record, p: ModelParams) -> EffectSeries:
     """Retrofiltered effects along the (n,) outcomes `record`: the width-1
     `backward_walk`, with the steps' trace rescalings accumulated into a log
     scale. Raises ZeroTraceError naming the latest time index from which no
     state can produce the rest of the record."""
-    ops = build_step_operators(p) if ops is None else ops
-    walk = list(backward_walk(ops, np.asarray(record, dtype=float)[:, None]))
+    walk = list(backward_walk(build_step_operators(p), np.asarray(record, dtype=float)[:, None]))
     dead = [s for s, _, scale in walk if not scale[0] > 0.0]  # latest first
     if dead:
         raise ZeroTraceError(f"no state at time index {dead[0]} can produce the record")
@@ -206,8 +204,7 @@ def petz_fuchs_series(r, e, time0=0, traj0=0):
     return sm / w
 
 
-def petz_fuchs_recursive(filtered_states, record, p: ModelParams,
-                         ops: StepOperators | None = None):
+def petz_fuchs_recursive(filtered_states, record, p: ModelParams):
     """Smoothed states by the backward Petz-recovery recursion along the
     (n,) outcomes `record`, given the (n+1, 2, 2) filtered states.
 
@@ -216,7 +213,7 @@ def petz_fuchs_recursive(filtered_states, record, p: ModelParams,
     forward series is never re-simulated. Agrees with the closed form on
     the support of the filtered state.
     """
-    ops = build_step_operators(p) if ops is None else ops
+    ops = build_step_operators(p)
     states = np.asarray(filtered_states, dtype=complex)
     n = len(record)
     if len(states) != n + 1:
@@ -291,12 +288,10 @@ class SmoothingResult:
         return np.log(w) + self.log_weight + self.effect_log_scale
 
 
-def smooth_trajectory(p: ModelParams, traj_index=0,
-                      ops: StepOperators | None = None) -> SmoothingResult:
+def smooth_trajectory(p: ModelParams, traj_index=0) -> SmoothingResult:
     """Generate a record, filter it, and smooth it in one call."""
-    ops = build_step_operators(p) if ops is None else ops
-    fr = filter_trajectory(p, traj_index, ops=ops)
-    eff = retrofilter(fr.record, p, ops=ops)
+    fr = filter_trajectory(p, traj_index)
+    eff = retrofilter(fr.record, p)
     smoothed = petz_fuchs_series(fr.coords.T, eff.coords.T, traj0=traj_index)
     return SmoothingResult(
         record=fr.record, times=p.times,
@@ -387,6 +382,8 @@ def gw_smooth(record, p: ModelParams, bob_unraveling, n_bob, seed) -> GwResult:
     """
     if n_bob < 1:
         raise ValueError(f"n_bob must be at least 1, got {n_bob}")
+    if seed < 0 or seed % 1 != 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     if len(record) != p.n_steps:
         raise ValueError(
             f"record has {len(record)} steps but the grid has {p.n_steps}")
@@ -429,8 +426,9 @@ def gw_enumerate(record, p: ModelParams):
     observer.
 
     Exponential in the record length; intended for short horizons. Returns
-    (GwResult, alice_filtered) where alice_filtered is the sum of
-    unnormalized true states (it must reproduce the filtered state).
+    (GwResult, alice_filtered) where alice_filtered (n+1, 4) is the sum of
+    unnormalized true states as coordinates (it must reproduce the filtered
+    state).
     """
     if len(record) != p.n_steps:
         raise ValueError(
@@ -447,7 +445,7 @@ def gw_enumerate(record, p: ModelParams):
     for s in range(n):
         u = stack_products(_true_state_stack(alice, bob, record[s]), per_time[-1])
         per_time.append(u.reshape(2, 4, -1).transpose(1, 2, 0).reshape(4, -1))
-    filtered = to_matrix(np.array([b.sum(axis=1) for b in per_time]))
+    filtered = np.array([b.sum(axis=1) for b in per_time])
 
     # Each leaf carries its ancestor at every time; repeating an ancestor
     # once per leaf scales all weights at that time alike, which the

@@ -161,7 +161,8 @@ def test_criterion_9_two_observer_equivalence():
                     t_final=0.1, rho0=pure_ground, seed=5)
     assert p.n_steps == 10
     fr = filter_trajectory(p)
-    exact, alice = smoothing.gw_enumerate(fr.record, p)
+    exact, alice_coords = smoothing.gw_enumerate(fr.record, p)
+    alice = to_matrix(alice_coords)
     equiv = float(np.max(np.abs(exact.gw - exact.gw_pf)))
     alice_norm = alice / np.einsum("tii->t", alice).real[:, None, None]
     filt_dev = float(np.max(np.abs(alice_norm - to_matrix(fr.coords))))

@@ -5,6 +5,7 @@ import pytest
 
 from qsmooth import checks, cli, smoothing
 from qsmooth.cli import ENSEMBLE_HEADER, SIMULATE_HEADER, main
+from qsmooth.dynamics import unconditional_series
 from qsmooth.qmath import ZeroTraceError
 
 
@@ -114,6 +115,15 @@ class TestSimulate:
             assert key in doc
         assert doc["config"]["seed"] == 5
         assert doc["checks"]["pairing_rel_spread"] < 1e-8
+
+    def test_unconditional_bloch_reads_qubit_statistics(self, tmp_path, capsys):
+        out = tmp_path / "sim.json"
+        run(["simulate", "--seed", "5", "--t-final", "0.3", "--unraveling", "homodyne_x",
+             "--format", "json", "--out", str(out)])
+        doc = json.loads(out.read_text())
+        p = cli.build_params(doc["config"])
+        bloch = smoothing.qubit_statistics(unconditional_series(p).T)[1]
+        assert np.array_equal(doc["unconditional_bloch"], bloch.T)
 
     def test_uninformative_record_pairing(self, tmp_path, capsys):
         # eta = 0: the log pairing sits near 0, so a spread relative to its

@@ -5,7 +5,7 @@ import pytest
 
 from qsmooth import smoothing
 from qsmooth.checks import future_enumeration
-from qsmooth.dynamics import ModelParams
+from qsmooth.dynamics import ModelParams, unconditional_series
 from qsmooth.ensemble import EnsembleResult, EnsembleSpec, run_ensemble
 from qsmooth.qmath import ZeroTraceError
 
@@ -52,6 +52,13 @@ class TestRunEnsemble:
         assert np.allclose(res.avg_purity_smoothed, direct.purity_smoothed, atol=1e-12)
         assert np.all(np.isnan(res.se_purity_filtered))
         assert np.all(np.isnan(res.se_purity_smoothed))
+
+    def test_unconditional_columns_read_qubit_statistics(self):
+        p = params(t_final=0.3)
+        res = run_ensemble(EnsembleSpec(params=p, n_traj=2))
+        purity, bloch, _, _ = smoothing.qubit_statistics(unconditional_series(p).T)
+        assert np.array_equal(res.uncond_purity, purity)
+        assert np.array_equal(res.uncond_bloch, bloch.T)
 
     def test_bit_identical_reruns(self):
         spec = EnsembleSpec(params=params(t_final=0.4), n_traj=40,

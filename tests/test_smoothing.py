@@ -121,7 +121,8 @@ class TestQubitSandwich:
         s = to_vector(norm)
         purity, bloch, low, defect = qubit_statistics(s[:, None])
         assert abs(purity[0] - qmath.purity(norm)) < 1e-12
-        assert np.max(np.abs(bloch[:, 0] - qmath.bloch_vector(norm[None])[0])) < 1e-12
+        ref = [2.0 * norm[1, 0].real, 2.0 * norm[1, 0].imag, (norm[0, 0] - norm[1, 1]).real]
+        assert np.max(np.abs(bloch[:, 0] - ref)) < 1e-12
         assert abs(low[0] - qmath.min_eigenvalue_stack(norm[None])[0]) < 1e-12
         assert abs(defect[0] - abs(trace_of(norm).real - 1.0)) < 1e-15
         # the trace defect reads the input, it is not zero by construction
@@ -220,8 +221,8 @@ class TestRetrofilter:
         for unraveling in ("jump", "homodyne_x"):
             p = params(unraveling=unraveling, t_final=0.05, seed=1)
             ops = build_step_operators(p)
-            fr = filter_trajectory(p, ops=ops)
-            eff = retrofilter(fr.record, p, ops=ops)
+            fr = filter_trajectory(p)
+            eff = retrofilter(fr.record, p)
             raw = np.eye(2, dtype=complex)
             for i in range(p.n_steps - 1, -1, -1):
                 fmap = ops.conditional_map(fr.record[i])
@@ -298,10 +299,10 @@ class TestRetrofilter:
                 if np.all(raw == 0.0):
                     n_impossible += 1
                     with pytest.raises(ZeroTraceError):
-                        retrofilter(record, p, ops=ops)
+                        retrofilter(record, p)
                 else:
                     n_possible += 1
-                    retrofilter(record, p, ops=ops)
+                    retrofilter(record, p)
         assert (n_impossible, n_possible) == (684, 84)
 
     def test_dark_record_commutes_and_smoothing_is_trivial(self):
@@ -522,7 +523,7 @@ class TestCriterion2MonteCarloHomodyne:
         # effect pullback per sampled future, reusing the recorded outcomes
         acc = np.zeros((2, 2), dtype=complex)
         for i in range(n_fut):
-            eff = retrofilter(outcomes[:, i], p_fut, ops=ops)
+            eff = retrofilter(outcomes[:, i], p_fut)
             acc += petz_fuchs(rho_f, to_matrix(eff.coords[0]))
         mean = acc / n_fut
         tol = 4.0 / np.sqrt(n_fut)
