@@ -16,6 +16,9 @@ verdict against the metric's relative `bound` in BENCHMARK.json:
 
 - `worse`: the change's median is worse than the parent's by more than the
   bound;
+- `improved`: of at least ten pairs, the change wins at least nine tenths
+  (ties count for neither), and its median is better than the parent's by
+  more than the parent's q3 - q1; this is the rule for claiming a gain;
 - `unresolved`: the parent's (q3 - q1) / median exceeds the bound, and not
   every change run beats every parent run;
 - `within_bound`: otherwise.
@@ -61,11 +64,15 @@ def run_side(checkout, workload, seed, seconds, quick):
 
 
 def verdict(row, parent, change, sign, bound):
-    """`worse`, `unresolved` or `within_bound` for one metric's summary row
-    and its per-run values (see the module docstring); `sign` is 1 when
-    higher is better, -1 when lower is."""
+    """`worse`, `improved`, `unresolved` or `within_bound` for one metric's
+    summary row and its per-run values (see the module docstring); `sign` is
+    1 when higher is better, -1 when lower is."""
     if sign * (row["parent_median"] - row["change_median"]) > bound * row["parent_median"]:
         return "worse"
+    if (len(parent) >= 10 and 10 * row["change_wins"] >= 9 * len(parent)
+            and sign * (row["change_median"] - row["parent_median"])
+            > row["parent_q3"] - row["parent_q1"]):
+        return "improved"
     spread = (row["parent_q3"] - row["parent_q1"]) / row["parent_median"]
     beats_all = min(sign * c for c in change) > max(sign * p for p in parent)
     if spread > bound and not beats_all:

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qsmooth import channels, dynamics, qmath
 from qsmooth.dynamics import (
@@ -11,12 +13,12 @@ from qsmooth.dynamics import (
     ModelParams,
     StepOperators,
     build_step_operators,
+    draw_noise,
     filter_batch,
     filter_trajectory,
     stack_products,
     to_matrix,
     to_vector,
-    trajectory_stream,
     unconditional_series,
 )
 from qsmooth.qmath import EXCITED, GROUND, ZeroTraceError, dag, mm, trace_of
@@ -396,11 +398,56 @@ class TestFilterTrajectory:
         assert peak <= 1.25 * returned
 
     def test_distinct_streams(self):
-        s0 = trajectory_stream(0, 0).random(4)
-        s1 = trajectory_stream(0, 1).random(4)
-        d0 = trajectory_stream(0, 0, domain=1).random(4)
+        s0, s1 = draw_noise(0, [0, 1], 4, "jump", 1e-3).T
+        (d0,) = draw_noise(0, [0], 4, "jump", 1e-3, domain=1).T
         assert not np.allclose(s0, s1)
         assert not np.allclose(s0, d0)
+
+
+def reference_noise(master_seed, indices, n, unraveling, dt, domain=0):
+    """`draw_noise` seeded stream by stream: column i draws from PCG64 seeded
+    by SeedSequence(entropy=master_seed, spawn_key=(domain, indices[i]))."""
+    noise = np.empty((n, len(indices)))
+    for col, i in enumerate(indices):
+        ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(domain, i))
+        rng = np.random.Generator(np.random.PCG64(ss))
+        noise[:, col] = rng.random(n) if unraveling == "jump" \
+            else rng.normal(0.0, np.sqrt(dt), size=n)
+    return noise
+
+
+@st.composite
+def index_sets(draw):
+    """One index, or a shuffled set with 0, 2^32 - 1 and repeats."""
+    word = st.integers(0, 2 ** 32 - 1)
+    if draw(st.booleans()):
+        return [draw(word)]
+    rest = draw(st.lists(word, max_size=4))
+    return draw(st.permutations([0, 2 ** 32 - 1, 0] + rest + rest[:1]))
+
+
+class TestDrawNoise:
+    # seeds at the word-count edges of SeedSequence's entropy (1, 2, 3, 4
+    # and more than 4 words), domains of one and two words
+    @given(seed=st.one_of(st.sampled_from([0, 2 ** 32 - 1, 2 ** 32, 2 ** 64, 2 ** 128]),
+                          st.integers(0, 2 ** 160)),
+           domain=st.one_of(st.sampled_from([0, 1]), st.integers(2 ** 32, 2 ** 64)),
+           indices=index_sets(), n=st.sampled_from([0, 1, 7]),
+           unraveling=st.sampled_from(["jump", "homodyne_x"]))
+    @example(seed=2 ** 128 + 5, domain=2 ** 33, indices=[2 ** 32 - 1, 0], n=3,
+             unraveling="homodyne_x")
+    @example(seed=10 ** 40, domain=1, indices=[0], n=0, unraveling="jump")
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_stream_seeding(self, seed, domain, indices, n, unraveling):
+        got = draw_noise(seed, indices, n, unraveling, 2e-3, domain)
+        want = reference_noise(seed, indices, n, unraveling, 2e-3, domain)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("index", [-1, 2 ** 32, 2 ** 64 + 1])
+    def test_rejects_index_outside_one_word(self, index):
+        # a uint32 cast would wrap it onto another trajectory's stream
+        with pytest.raises(ValueError, match=f"trajectory index {index} "):
+            draw_noise(0, [3, index, 4], 5, "jump", 1e-3)
 
 
 class TestEnsembleMeanConsistency:

@@ -44,7 +44,8 @@ def test_bench_pairs_quick(tmp_path):
     assert row["parent_q1"] <= row["parent_median"] <= row["parent_q3"]
     assert 0 <= row["change_wins"] <= 2
     assert row["ratio_change_over_parent"] == row["change_median"] / row["parent_median"]
-    assert all(summary[m["name"]]["verdict"] in ("worse", "unresolved", "within_bound")
+    assert all(summary[m["name"]]["verdict"] in ("worse", "improved", "unresolved",
+                                                 "within_bound")
                for m in _end_to_end().values())
 
 
@@ -53,15 +54,28 @@ def _end_to_end():
     return {m["name"]: m for m in bench["end_to_end"]}
 
 
+_PARENT_10 = [1.0, 1.01, 0.99, 1.0, 1.02, 0.98, 1.0, 1.01, 0.99, 1.0]
+
+
 @pytest.mark.parametrize("metric, parent, change, expected", [
     # 30% slower and 30% less throughput, against bounds of 0.25
     ("latency_p50_s", [1.0, 1.0, 1.0, 1.0], [1.3, 1.3, 1.3, 1.3], "worse"),
     ("traj_steps_per_s", [1.0, 1.0, 1.0, 1.0], [0.7, 0.7, 0.7, 0.7], "worse"),
     # the parent's quartiles span 37.5% of its median
     ("latency_p50_s", [0.5, 1.0, 1.0, 2.0], [0.9, 1.0, 1.1, 1.2], "unresolved"),
-    # ... unless every change run beats every parent run
+    # ... unless every change run beats every parent run; four pairs are
+    # too few to claim a gain
     ("latency_p50_s", [0.5, 1.0, 1.0, 2.0], [0.4, 0.4, 0.4, 0.4], "within_bound"),
     ("latency_p50_s", [1.0, 1.0, 1.0, 1.0], [1.2, 1.2, 1.2, 1.2], "within_bound"),
+    # 9 or 10 of 10 wins, and the medians differ by more than the parent's
+    # q3 - q1
+    ("traj_steps_per_s", _PARENT_10, [1.2] * 10, "improved"),
+    ("latency_p50_s", _PARENT_10, [0.8] * 10, "improved"),
+    ("traj_steps_per_s", _PARENT_10, [1.2] * 9 + [0.9], "improved"),
+    # 8 of 10 wins is short of nine tenths
+    ("traj_steps_per_s", _PARENT_10, [1.2] * 8 + [0.9] * 2, "within_bound"),
+    # 10 of 10 wins, but by less than the parent's q3 - q1 (0.015)
+    ("traj_steps_per_s", _PARENT_10, [p + 0.01 for p in _PARENT_10], "within_bound"),
 ])
 def test_bench_pairs_verdict(metric, parent, change, expected):
     script = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))
