@@ -7,12 +7,17 @@
 Each side of a pair runs `perfbench/run.py --workload W --seed S --seconds 40
 --trace 0` from its own checkout, both sides with the same seed; the side
 that runs first alternates from pair to pair. Every run's last stdout line
-(the result line) is kept. The output is `BENCH_<date>_<tag>.json` in
-`--out-dir` with the keys `tag`, `what`, `machine`, `pairs` and `summary`.
-The summary gives, per workload and end-to-end metric, each side's median
-and quartiles, the pairs the change won (by the direction BENCHMARK.json
-gives the metric), the ratio of the medians, change over parent, and a
-verdict against the metric's relative `bound` in BENCHMARK.json:
+(the result line) is kept, and so is `ops_sha256`: a sha256 over the sorted
+`op KEY sha256 DIGEST` lines of its output digests. It covers the op keys
+that both runs of the pair ran, since a run stops after a time and
+`simulate_records` gives every request a key of its own. The output is
+`BENCH_<date>_<tag>.json` in `--out-dir` with the keys `tag`, `what`,
+`machine`, `pairs` and `summary`. The summary gives, per workload,
+`digests_equal`, the number of pairs whose two `ops_sha256` agree, and per
+end-to-end metric, each side's median and quartiles, the pairs the change
+won (by the direction BENCHMARK.json gives the metric), the ratio of the
+medians, change over parent, and a verdict against the metric's relative
+`bound` in BENCHMARK.json:
 
 - `worse`: the change's median is worse than the parent's by more than the
   bound;
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import hashlib
 import json
 import statistics
 import subprocess
@@ -53,14 +59,23 @@ def parse_pairs(items):
 
 
 def run_side(checkout, workload, seed, seconds, quick):
-    """(result line, machine facts) of one benchmark run from `checkout`."""
+    """(result line, machine facts, the set of `(op key, digest)`) of one
+    benchmark run from `checkout`."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"] + (["--quick"] if quick else [])
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
     lines = done.stdout.strip().splitlines()
     machine = next(json.loads(line.split(":", 1)[1]) for line in lines
                    if line.startswith("machine:"))
-    return json.loads(lines[-1]), machine
+    # op KEY LATENCY s sha256 DIGEST
+    ops = {(fields[1], fields[-1]) for fields in map(str.split, lines) if fields[:1] == ["op"]}
+    return json.loads(lines[-1]), machine, ops
+
+
+def ops_sha256(ops, keys):
+    """sha256 over the sorted `op KEY sha256 DIGEST` lines of the given keys."""
+    text = "\n".join(sorted(f"op {key} sha256 {digest}" for key, digest in ops if key in keys))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def verdict(row, parent, change, sign, bound):
@@ -86,7 +101,8 @@ def summarize(pairs, end_to_end):
     summary = {}
     for workload in dict.fromkeys(p["workload"] for p in pairs):
         runs = [p for p in pairs if p["workload"] == workload]
-        entry = {"pairs": len(runs)}
+        entry = {"pairs": len(runs), "digests_equal": sum(
+            p["ops_sha256"]["parent"] == p["ops_sha256"]["change"] for p in runs)}
         for metric in runs[0]["parent"]["metrics"]:
             sides = {side: [r[side]["metrics"][metric]["value"] for r in runs]
                      for side in ("parent", "change")}
@@ -137,9 +153,13 @@ def main(argv=None):
             first = "parent" if len(pairs) % 2 == 0 else "change"
             pair = {"workload": workload, "seed": seed, "trace": 0, "first": first}
             order = ("parent", "change") if first == "parent" else ("change", "parent")
+            ops = {}
             for side in order:
                 checkout = args.parent if side == "parent" else args.change
-                pair[side], machine = run_side(checkout, workload, seed, seconds, args.quick)
+                pair[side], machine, ops[side] = run_side(
+                    checkout, workload, seed, seconds, args.quick)
+            shared = {key for key, _ in ops["parent"]} & {key for key, _ in ops["change"]}
+            pair["ops_sha256"] = {side: ops_sha256(ops[side], shared) for side in ops}
             pairs.append(pair)
             print(f"{workload} seed {seed}: " + ", ".join(
                 f"{side} traj_steps_per_s {pair[side]['metrics']['traj_steps_per_s']['value']:.4g}"
@@ -151,7 +171,8 @@ def main(argv=None):
                  f"--seed S --seconds {seconds:g} --trace 0`" + (" --quick" if args.quick else "")
                  + ", each side run from its own checkout; the first side of each pair "
                  "alternates. `parent` and `change` hold each run's last stdout line "
-                 "(the result line)."),
+                 "(the result line); `ops_sha256` hashes each run's op output digests "
+                 "over the op keys both runs of the pair ran."),
         "machine": machine,
         "pairs": pairs,
         "summary": summarize(pairs, end_to_end),

@@ -15,7 +15,6 @@ from .qmath import NotPSDError, ZeroTraceError, hermitian_sqrt, min_eigenvalue, 
 from .smoothing import (
     DegenerateWeightsError,
     SmoothingResult,
-    gw_enumerate,
     gw_smooth,
     petz_fuchs,
     petz_fuchs_recursive,

@@ -37,9 +37,6 @@ from .qmath import NotPSDError, ZeroTraceError
 
 SMOOTHERS = ("petz_fuchs", "recursive", "swv", "gw")
 
-SIMULATE_HEADER = "t,outcome,fx,fy,fz,sx,sy,sz,ux,uy,uz,p_filt,p_smooth"
-ENSEMBLE_HEADER = "t,ep_filt,se_filt,ep_smooth,se_smooth,p_uncond"
-
 
 class ConfigError(Exception):
     pass

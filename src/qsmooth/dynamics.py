@@ -21,7 +21,10 @@ Pauli coordinates of `BASIS`, (1, X, Y, Z) / sqrt(2), each F_y is a real
 adjoint F_y^dag is its transpose. `StepOperators` builds the matrices once
 from its Kraus lists: S_0 and S_1 for photon counting, and S_y = A + y B +
 y^2 C for homodyne, where M_y is affine in y. Forward steps compute
-r <- S_y r, backward steps e <- S_y^T e.
+r <- S_y r, backward steps e <- S_y^T e. `forward_walk` is the one forward
+loop: it draws each outcome, steps, checks and divides out the weight, for
+`filter_batch` and for the two-observer `smoothing.gw_smooth`; the backward
+loop is `smoothing.backward_walk`.
 
 The filtering engine is vectorized over a batch of trajectories; a single
 trajectory is the batch of size one. All per-trajectory randomness comes
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -383,27 +387,40 @@ def sample_outcomes(ops: StepOperators, u, r, noise):
     return mean + noise / ops.dt, mean
 
 
-def forward_step(ops: StepOperators, stack, r, noise):
-    """One forward step S_y r of every column of r (4, N), with y drawn by
-    `sample_outcomes`; `stack` is `ops.forward` or one built from it.
+def forward_walk(ops: StepOperators, stacks, states, noise, columns):
+    """(s, outcomes, weight, summary) for s = 0, 1, ...: one forward step
+    S_y r per column of r = states[s] (4, N), one stack per step from
+    `stacks` (`ops.forward` or one built from it), with y drawn by
+    `sample_outcomes` from noise[s]. The weight Tr[S_y r] is divided out
+    into states[s + 1]; `summary` is what `sample_outcomes` returned beside y.
 
     Photon counting is click-sparse: every column needs S_0 r and only the
     trace row of S_1 r to draw y, and S_1 r itself is computed for the
     columns that click. Each entry sees the multiply-adds of the full
     product, so the bits equal `ops.combine(stack_products(stack, r), y)`.
-    Returns (outcomes, unnormalized states, the sampling summary).
+    A weight at or below ZERO_TRACE_TOL raises ZeroTraceError naming the
+    step and the column's label in `columns`.
     """
-    if ops.unraveling != "jump":
-        u = stack_products(stack, r)
-        y, summary = sample_outcomes(ops, u, r, noise)
-        return y, ops.combine(u, y), summary
-    u = stack_products(stack[:5], r)
-    y, summary = sample_outcomes(ops, u, r, noise)
-    out = u[:4]
-    clicks = y.nonzero()[0]  # y is 0.0 or 1.0
-    if clicks.size:
-        out[:, clicks] = stack_products(stack[4:8], r[:, clicks])
-    return y, out, summary
+    r = states[0]
+    for s, stack in enumerate(stacks):
+        if ops.unraveling != "jump":
+            u = stack_products(stack, r)
+            y, summary = sample_outcomes(ops, u, r, noise[s])
+            u = ops.combine(u, y)
+        else:
+            u = stack_products(stack[:5], r)
+            y, summary = sample_outcomes(ops, u, r, noise[s])
+            u = u[:4]
+            clicks = y.nonzero()[0]  # y is 0.0 or 1.0
+            if clicks.size:
+                u[:, clicks] = stack_products(stack[4:8], r[:, clicks])
+        w = vector_trace(u)
+        if w.min() <= ZERO_TRACE_TOL:
+            raise qmath.ZeroTraceError(
+                f"state lost its weight at step {s}, "
+                f"trajectory {columns[int(np.argmax(w <= ZERO_TRACE_TOL))]}")
+        r = np.divide(u, w, out=states[s + 1])
+        yield s, y, w, summary
 
 
 # -- unconditional evolution ----------------------------------------------
@@ -566,16 +583,9 @@ def filter_batch(p: ModelParams, ops: StepOperators, traj_indices):
     log_weight = np.zeros((n + 1, nb))
     outcomes = np.empty((n, nb))
     states[0] = to_vector(p.rho0)[:, None]
-    r = states[0]
-
-    for s in range(n):
-        outcomes[s], u, _ = forward_step(ops, ops.forward, r, noise[s])
-        w = vector_trace(u)
-        if w.min() <= ZERO_TRACE_TOL:
-            raise qmath.ZeroTraceError(f"filtered state lost its weight at step {s}, "
-                                       f"trajectory {idx[int(np.argmax(w <= ZERO_TRACE_TOL))]}")
+    for s, y, w, _ in forward_walk(ops, itertools.repeat(ops.forward, n), states, noise, idx):
+        outcomes[s] = y
         np.add(log_weight[s], np.log(w), out=log_weight[s + 1])
-        r = np.divide(u, w, out=states[s + 1])
     return outcomes, states, log_weight
 
 

@@ -102,17 +102,10 @@ def pinv_sqrt(m):
     unnormalized states.
     """
     w, v = _eigh_clamped(m)
-    tol = SUPPORT_RTOL * (w[-1] if w[-1] > 0 else 1.0)
-    inv = np.where(w > tol, 1.0 / np.sqrt(np.maximum(w, tol)), 0.0)
+    keep = w > SUPPORT_RTOL * (w[-1] if w[-1] > 0 else 1.0)
+    inv = np.zeros_like(w)
+    inv[keep] = 1.0 / np.sqrt(w[keep])  # only kept eigenvalues: the tolerance may underflow
     return (v * inv) @ dag(v)
-
-
-def purity(rho):
-    """Tr[rho^2] of the normalized state rho / Tr[rho]."""
-    t = trace_of(rho).real
-    if t <= ZERO_TRACE_TOL:
-        raise ZeroTraceError("state has (near-)zero trace")
-    return float(trace_of(mm(rho, rho)).real) / (t * t)
 
 
 def min_eigenvalue(m):

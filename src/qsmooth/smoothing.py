@@ -12,7 +12,8 @@ map of each step (the two agree on the support of the filtered state).
 Alongside it live the smoothed weak-valued state and a two-observer
 estimator that mixes "true" states conditioned on a second, unobserved
 record. Every record path pulls effects back through `backward_walk` and
-smooths on qubit coordinates; `petz_fuchs`, `swv_state` and
+smooths on qubit coordinates; `gw_smooth` pushes its true states forward
+through `dynamics.forward_walk`. `petz_fuchs`, `swv_state` and
 `petz_fuchs_recursive` are the matrix references.
 """
 
@@ -30,7 +31,7 @@ from .dynamics import (
     build_step_operators,
     draw_noise,
     filter_trajectory,
-    forward_step,
+    forward_walk,
     matrix_property,
     model_operators,
     stack_products,
@@ -395,11 +396,8 @@ def gw_smooth(record, p: ModelParams, bob_unraveling, n_bob, seed) -> GwResult:
     log_v = np.zeros((n + 1, n_bob))
     true_states = np.empty((n + 1, 4, n_bob))
     true_states[0] = to_vector(p.rho0)[:, None]
-    r = true_states[0]
-    for s in range(n):
-        stack = _true_state_stack(alice, bob, record[s])
-        z, u, summary = forward_step(bob, stack, r, noise[s])
-        tr = vector_trace(u)
+    stacks = (_true_state_stack(alice, bob, y) for y in record)
+    for s, z, tr, summary in forward_walk(bob, stacks, true_states, noise, range(n_bob)):
         if bob.unraveling == "jump":
             # Sampling z from its actual conditional leaves the summed
             # observed-outcome likelihood t0 + t1 as the weight increment.
@@ -410,7 +408,6 @@ def gw_smooth(record, p: ModelParams, bob_unraveling, n_bob, seed) -> GwResult:
             mean = summary
             log_q_ratio = -z * p.dt * mean + 0.5 * mean * mean * p.dt
             log_v[s + 1] = log_v[s] + np.log(tr) + log_q_ratio
-        r = np.divide(u, tr, out=true_states[s + 1])
 
     gw, gw_pf, ess = _combine_true_states(true_states, log_v, eff.coords)
     if np.min(ess) < 2.0:
@@ -418,42 +415,3 @@ def gw_smooth(record, p: ModelParams, bob_unraveling, n_bob, seed) -> GwResult:
             f"effective sample size {np.min(ess):.2f} < 2 "
             f"at t index {int(np.argmin(ess))}")
     return GwResult(gw=gw, gw_pf=gw_pf, ess=ess)
-
-
-def gw_enumerate(record, p: ModelParams):
-    """Exact two-observer smoothing along the (n,) outcomes `record`, by
-    enumerating every unobserved photon-counting record of the second
-    observer.
-
-    Exponential in the record length; intended for short horizons. Returns
-    (GwResult, alice_filtered) where alice_filtered (n+1, 4) is the sum of
-    unnormalized true states as coordinates (it must reproduce the filtered
-    state).
-    """
-    if len(record) != p.n_steps:
-        raise ValueError(
-            f"record has {len(record)} steps but the grid has {p.n_steps}")
-    if p.eta < 1.0:
-        raise ValueError("enumeration requires eta = 1")
-    alice, bob = _true_state_operators(p, "jump")
-    eff = retrofilter(record, p)
-    n = len(record)
-
-    # branch states carry their joint likelihood in the trace; the two
-    # unobserved outcomes of a branch stay adjacent
-    per_time = [to_vector(p.rho0)[:, None]]
-    for s in range(n):
-        u = stack_products(_true_state_stack(alice, bob, record[s]), per_time[-1])
-        per_time.append(u.reshape(2, 4, -1).transpose(1, 2, 0).reshape(4, -1))
-    filtered = np.array([b.sum(axis=1) for b in per_time])
-
-    # Each leaf carries its ancestor at every time; repeating an ancestor
-    # once per leaf scales all weights at that time alike, which the
-    # self-normalized mixtures cancel.
-    leaves = np.arange(2 ** n)
-    branches = np.stack([per_time[t][:, leaves >> (n - t)] for t in range(n + 1)])
-    traces = vector_trace(branches.swapaxes(0, 1))
-    gw, gw_pf, _ = _combine_true_states(
-        branches / traces[:, None], np.log(traces), eff.coords)
-    ess = np.full(n + 1, np.nan)
-    return GwResult(gw=gw, gw_pf=gw_pf, ess=ess), filtered

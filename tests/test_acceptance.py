@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from gw_enumeration import gw_enumerate
 from path_enumeration import enumerate_joint
 
 from qsmooth import checks, classical, smoothing
@@ -161,7 +162,7 @@ def test_criterion_9_two_observer_equivalence():
                     t_final=0.1, rho0=pure_ground, seed=5)
     assert p.n_steps == 10
     fr = filter_trajectory(p)
-    exact, alice_coords = smoothing.gw_enumerate(fr.record, p)
+    exact, alice_coords = gw_enumerate(fr.record, p)
     alice = to_matrix(alice_coords)
     equiv = float(np.max(np.abs(exact.gw - exact.gw_pf)))
     alice_norm = alice / np.einsum("tii->t", alice).real[:, None, None]

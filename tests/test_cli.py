@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qsmooth import checks, cli, smoothing
-from qsmooth.cli import ENSEMBLE_HEADER, SIMULATE_HEADER, main
+from qsmooth.cli import main
 from qsmooth.dynamics import unconditional_series
 from qsmooth.qmath import ZeroTraceError
 
@@ -39,7 +39,7 @@ class TestSimulate:
                     "--out", str(out)])
         assert code == 0
         _, header, data = read_csv(out)
-        assert ",".join(header) == SIMULATE_HEADER
+        assert ",".join(header) == "t,outcome,fx,fy,fz,sx,sy,sz,ux,uy,uz,p_filt,p_smooth"
         assert data.shape == (21, 13)
         assert np.isnan(data[0, 1])  # no outcome belongs to t = 0
 
@@ -221,7 +221,7 @@ class TestEnsembleCommand:
         run(["simulate", *common, "--out", str(sim)])
         run(["ensemble", *common, "--n-traj", "1", "--out", str(ens)])
         _, header, edata = read_csv(ens)
-        assert ",".join(header) == ENSEMBLE_HEADER
+        assert ",".join(header) == "t,ep_filt,se_filt,ep_smooth,se_smooth,p_uncond"
         _, sheader, sdata = read_csv(sim)
         assert np.allclose(edata[:, 1], sdata[:, sheader.index("p_filt")], atol=1e-12)
         assert np.allclose(edata[:, 3], sdata[:, sheader.index("p_smooth")], atol=1e-12)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from gw_enumeration import gw_enumerate
 
-from qsmooth import channels, qmath, smoothing
+from qsmooth import channels, dynamics, qmath, smoothing
 from qsmooth.dynamics import (
     ModelParams,
     build_step_operators,
@@ -11,7 +12,7 @@ from qsmooth.dynamics import (
     to_vector,
 )
 from qsmooth.qmath import ZeroTraceError, dag, mm
-from qsmooth.smoothing import DegenerateWeightsError, gw_enumerate, gw_smooth
+from qsmooth.smoothing import DegenerateWeightsError, gw_smooth
 
 PURE_GROUND = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 
@@ -155,6 +156,20 @@ class TestMonteCarlo:
         record = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
         with np.errstate(all="raise"), pytest.raises(ZeroTraceError, match="time index 2"):
             gw_smooth(record, p, "jump", n_bob=50, seed=1)
+
+    def test_impossible_second_observer_click_raises(self, monkeypatch):
+        # sigma+ annihilates the excited state, so an absorption click on
+        # |e> leaves a true state of zero weight
+        p = params(omega=0.0, t_final=0.03, rho0=qmath.EXCITED)
+        sample = dynamics.sample_outcomes
+
+        def click(ops, u, r, noise):
+            _, summary = sample(ops, u, r, noise)
+            return np.ones(len(noise)), summary
+
+        monkeypatch.setattr(dynamics, "sample_outcomes", click)
+        with pytest.raises(ZeroTraceError, match=r"step 0, trajectory 0"):
+            gw_smooth(np.zeros(3), p, "jump", n_bob=4, seed=0)
 
     @pytest.mark.parametrize("n_bob", [0, -2])
     def test_no_samples_is_value_error(self, n_bob):

@@ -40,6 +40,7 @@ def test_bench_pairs_quick(tmp_path):
     assert doc["pairs"][0]["seed"] != doc["pairs"][1]["seed"]
     summary = doc["summary"]["simulate_records"]
     assert summary["pairs"] == 2 and summary["failed"]["parent"] == 0
+    assert summary["digests_equal"] == 2  # one checkout on both sides
     row = summary["traj_steps_per_s"]
     assert row["parent_q1"] <= row["parent_median"] <= row["parent_q3"]
     assert 0 <= row["change_wins"] <= 2
@@ -81,6 +82,7 @@ def test_bench_pairs_verdict(metric, parent, change, expected):
     script = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))
     pairs = [{"workload": "w", **{side: {"metrics": {metric: {"value": v}},
                                          "failed": 0, "attempted": 1}
-                                  for side, v in (("parent", a), ("change", c))}}
+                                  for side, v in (("parent", a), ("change", c))},
+              "ops_sha256": {"parent": "", "change": ""}}
              for a, c in zip(parent, change)]
     assert script["summarize"](pairs, _end_to_end())["w"][metric]["verdict"] == expected

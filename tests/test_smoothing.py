@@ -120,7 +120,7 @@ class TestQubitSandwich:
         norm = rho / trace_of(rho).real
         s = to_vector(norm)
         purity, bloch, low, defect = qubit_statistics(s[:, None])
-        assert abs(purity[0] - qmath.purity(norm)) < 1e-12
+        assert abs(purity[0] - trace_of(mm(norm, norm)).real) < 1e-12
         ref = [2.0 * norm[1, 0].real, 2.0 * norm[1, 0].imag, (norm[0, 0] - norm[1, 1]).real]
         assert np.max(np.abs(bloch[:, 0] - ref)) < 1e-12
         assert abs(low[0] - qmath.min_eigenvalue_stack(norm[None])[0]) < 1e-12
@@ -450,8 +450,8 @@ class TestSmoothTrajectory:
         res = smooth_trajectory(params(t_final=0.3, seed=2))
         assert res.purity_filtered[0] == pytest.approx(1.0)
         i = 150
-        assert res.purity_smoothed[i] == pytest.approx(
-            qmath.purity(res.smoothed[i]), abs=1e-12)
+        rho = res.smoothed[i]
+        assert res.purity_smoothed[i] == pytest.approx(trace_of(mm(rho, rho)).real, abs=1e-12)
 
 
 class TestLongHorizon:
