@@ -4,7 +4,7 @@
 Scans trajectory indices under one master seed until it finds a record
 with exactly one detection (the most instructive case: the smoothed state
 knows the photon is coming), then writes the per-time Bloch components
-and purities as CSV.
+and purities as CSV through the CLI's column writer.
 
     python scripts/run_single_trajectory.py --seed 0 --out trajectory.csv
 """
@@ -14,17 +14,8 @@ import sys
 
 import numpy as np
 
-from qsmooth import smoothing
+from qsmooth import cli, smoothing
 from qsmooth.dynamics import ModelParams, build_step_operators, filter_batch
-
-
-def write_csv(path, cfg, header, rows):
-    """`# key = value` preamble, header, then rows at full precision."""
-    lines = [f"# {key} = {cfg[key]}" for key in sorted(cfg)]
-    lines.append(header)
-    lines.extend(",".join(f"{x:.17g}" for x in row) for row in rows)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def main():
@@ -64,10 +55,15 @@ def main():
     bs = smoothing.qubit_statistics(res.smoothed_coords.T)[1]
     cfg = {"omega": args.omega, "nbar": args.nbar, "dt": args.dt,
            "t_final": args.t_final, "seed": args.seed, "traj_index": chosen,
-           "unraveling": "jump"}
-    rows = np.column_stack([res.times, np.concatenate([[np.nan], res.record]),
-                            bf.T, bs.T, res.purity_filtered, res.purity_smoothed])
-    write_csv(args.out, cfg, "t,outcome,fx,fy,fz,sx,sy,sz,p_filt,p_smooth", rows)
+           "unraveling": "jump", "format": "csv", "out": args.out}
+    cli._write(cfg, [
+        ("t", "times", res.times),
+        ("outcome", "outcome", np.concatenate([[np.nan], res.record])),
+        ("fx,fy,fz", "filtered_bloch", bf.T),
+        ("sx,sy,sz", "smoothed_bloch", bs.T),
+        ("p_filt", "purity_filtered", res.purity_filtered),
+        ("p_smooth", "purity_smoothed", res.purity_smoothed),
+    ], {})
     print(f"wrote {args.out}")
     return 0
 

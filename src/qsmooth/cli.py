@@ -169,20 +169,39 @@ def _fmt(x):
     return f"{x:.17g}"
 
 
-def _json_clean(obj):
-    """Strict JSON has no NaN/Inf; map non-finite floats to null."""
+def _render_json(obj, level=0):
+    """`json.dumps(obj, indent=1, sort_keys=True)` with every non-finite
+    float written as null. An ndarray's numbers are formatted in one flat
+    pass, then joined into nested lists, innermost axis first."""
     if isinstance(obj, dict):
-        return {k: _json_clean(v) for k, v in obj.items()}
+        return _wrap([f"{json.dumps(k)}: {_render_json(obj[k], level + 1)}"
+                      for k in sorted(obj)], level, "{}")
     if isinstance(obj, (list, tuple)):
-        return [_json_clean(v) for v in obj]
-    if isinstance(obj, float) and not np.isfinite(obj):
-        return None
-    return obj
+        return _wrap([_render_json(v, level + 1) for v in obj], level)
+    if not isinstance(obj, (float, np.ndarray)):
+        return json.dumps(obj)
+    a = np.asarray(obj)
+    items = list(map(float.__repr__ if a.dtype.kind == "f" else json.dumps,
+                     a.ravel().tolist()))
+    for i in np.flatnonzero(~np.isfinite(a)):
+        items[i] = "null"
+    for depth in range(a.ndim - 1, -1, -1):
+        n = a.shape[depth]
+        items = [_wrap(items[i * n:(i + 1) * n], level + depth)
+                 for i in range(int(np.prod(a.shape[:depth])))]
+    return items[0]
+
+
+def _wrap(items, level, brackets="[]"):
+    """JSON list or object of rendered `items`, closing at depth `level`."""
+    if not items:
+        return brackets
+    pad = "\n" + " " * (level + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + pad[:-1] + brackets[1]
 
 
 def _write_json(path, doc):
-    _emit(path, json.dumps(_json_clean(doc), indent=1, sort_keys=True,
-                           allow_nan=False) + "\n")
+    _emit(path, _render_json(doc) + "\n")
 
 
 def _emit(path, text):
@@ -196,8 +215,7 @@ def _emit(path, text):
 
 def _json_config(cfg):
     # the output path plays no role in regenerating the data
-    return {k: (list(v) if isinstance(v, tuple) else v)
-            for k, v in cfg.items() if k != "out"}
+    return {k: v for k, v in cfg.items() if k != "out"}
 
 
 def _write(cfg, columns, summary):
@@ -206,13 +224,14 @@ def _write(cfg, columns, summary):
     that also holds the config and the `checks` summary."""
     config = _json_config(cfg)
     if cfg["format"] == "json":
-        doc = {key: np.asarray(values).tolist() for _, key, values in columns}
+        doc = {key: np.asarray(values) for _, key, values in columns}
         _write_json(cfg["out"], {**doc, "config": config, "checks": summary})
         return
     lines = _preamble({k: cfg[k] for k in config})
     lines.append(",".join(names for names, _, _ in columns if names))
     table = np.column_stack([values for names, _, values in columns if names])
-    lines.extend(",".join(_fmt(x) for x in row) for row in table)
+    cells, width = list(map(_fmt, table.ravel().tolist())), table.shape[1]
+    lines.extend(",".join(cells[i:i + width]) for i in range(0, len(cells), width))
     _emit(cfg["out"], "\n".join(lines) + "\n")
 
 

@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qsmooth import checks, cli, smoothing
 from qsmooth.cli import main
@@ -29,6 +32,25 @@ def read_csv(path):
 
 def run(args):
     return main(args)
+
+
+def _json_clean(obj):
+    """Arrays as lists, and non-finite floats as None: strict JSON has no
+    NaN or Infinity."""
+    if isinstance(obj, np.ndarray):
+        return _json_clean(obj.tolist())
+    if isinstance(obj, dict):
+        return {k: _json_clean(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_clean(v) for v in obj]
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return None
+    return obj
+
+
+def stdlib_json(doc):
+    """The standard library rendering the CLI's JSON must match byte for byte."""
+    return json.dumps(_json_clean(doc), indent=1, sort_keys=True, allow_nan=False)
 
 
 class TestSimulate:
@@ -141,6 +163,56 @@ class TestSimulate:
                     str(tmp_path / "x.csv")])
         assert code == 3
         assert "time index 7" in capsys.readouterr().err
+
+
+_FLOATS = st.one_of(st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16]),
+                    st.floats())
+_SHAPES = st.integers(1, 4).flatmap(
+    lambda n: st.sampled_from([(n,), (n, 3), (0,), (n, 0)]))
+_ARRAYS = st.one_of(
+    _SHAPES.flatmap(lambda shape: hnp.arrays(np.float64, shape, elements=_FLOATS)),
+    _SHAPES.flatmap(lambda shape: hnp.arrays(np.int64, shape)),
+    _SHAPES.flatmap(lambda shape: hnp.arrays(np.bool_, shape)))
+_TEXT = st.one_of(st.text(max_size=6),
+                  st.sampled_from(['say "hi"', "back\\slash", "ünïcødé ☃"]))
+_DOCS = st.recursive(
+    st.one_of(_ARRAYS, _FLOATS, st.integers(), st.booleans(), st.none(), _TEXT),
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.dictionaries(_TEXT, kids, max_size=4)),
+    max_leaves=12)
+
+
+class TestJsonRenderer:
+    @settings(max_examples=300, deadline=None)
+    @given(_DOCS)
+    @example({"specials": np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16]),
+              "bloch": np.arange(6.0).reshape(2, 3), "none": np.zeros(0),
+              "hollow": np.zeros((2, 0)), "record": np.arange(3),
+              "flags": np.array([True, False]),
+              'key "ü"': [None, 'a "b" \\ ☃', {}, [], {"nested": [1.5, -np.inf]}]})
+    def test_matches_stdlib_json(self, doc):
+        assert cli._render_json(doc) == stdlib_json(doc)
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--smoothers", "recursive,swv", "--unraveling", "homodyne_y"],
+        ["simulate", "--smoothers", "petz_fuchs,swv,gw", "--n-bob", "50"],
+        ["simulate", "--unraveling", "homodyne_x", "--out", "-"],
+        # t_final < 4 leaves the steady window empty, so the gains are null
+        ["ensemble", "--n-traj", "4"],
+    ], ids=" ".join)
+    def test_cli_output_matches_stdlib_json(self, argv, tmp_path, capsys, monkeypatch):
+        docs = []
+        write = cli._write_json
+        monkeypatch.setattr(cli, "_write_json",
+                            lambda path, doc: docs.append(doc) or write(path, doc))
+        out = tmp_path / "out.json"
+        if "--out" not in argv:
+            argv = argv + ["--out", str(out)]
+        assert run(argv + ["--seed", "2", "--t-final", "0.2", "--format", "json"]) == 0
+        text = capsys.readouterr().out if "-" in argv else out.read_text()
+        assert text == stdlib_json(docs[0]) + "\n"
+        if argv[0] == "ensemble":
+            assert json.loads(text)["checks"]["purity_gain_mean"] is None
 
 
 class TestConfigFile:
