@@ -30,8 +30,9 @@ The filtering engine is vectorized over a batch of trajectories; a single
 trajectory is the batch of size one. All per-trajectory randomness comes
 from an independent stream derived from (master seed, trajectory index):
 PCG64 seeded by SeedSequence(entropy=seed, spawn_key=(domain, index)).
-`draw_noise` computes the seeding of a whole batch in bulk, in one numpy
-pass, and gives the same draws as seeding each stream on its own.
+numpy seeds each stream; `draw_noise` hashes only the index word itself,
+for a whole batch in one numpy pass, and gives the same draws as seeding
+each stream on its own.
 """
 
 from __future__ import annotations
@@ -455,23 +456,12 @@ class FilterResult:
     log_weight: np.ndarray
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64's
-# seeding multiplier, for seeding a batch of streams in one pass
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx), for
+# hashing the index word and the output words of a batch of streams in one pass
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-
-
-def _words(value):
-    """Little-endian 32-bit words of a nonnegative int; 0 is one word."""
-    words = [value & _MASK32]
-    while value > _MASK32:
-        value >>= 32
-        words.append(value & _MASK32)
-    return words
 
 
 def _schedule(const, mult, count):
@@ -483,59 +473,41 @@ def _schedule(const, mult, count):
     return np.array(consts[:-1], np.uint32), np.array(consts[1:], np.uint32)
 
 
-def _stream_states(master_seed, domain, index_words):
-    """(state, inc) of PCG64(SeedSequence(entropy=master_seed,
-    spawn_key=(domain, index))) for each uint32 index in `index_words`.
+def _stream_rows(master_seed, domain, index_words):
+    """(N, 4) uint64 rows: row i is SeedSequence(entropy=master_seed,
+    spawn_key=(domain, index_words[i])).generate_state(4, np.uint64).
 
-    The hash runs as numpy's does, word by word with one running constant.
-    All indices share the words before theirs, so those are hashed once
-    with Python ints; the index word and the output words are hashed on
-    (N, 4) and (N, 8) uint32 arrays, where products wrap mod 2^32 without
-    a warning.
+    numpy hashes the words all indices share into the pool of
+    SeedSequence(master_seed, spawn_key=(domain,)), after which its hash
+    constant has taken 16 + 4 (w - 4) steps for the w words of the seed
+    (padded to four) and the domain. The index and output words are hashed
+    here on uint32 arrays, where products wrap mod 2^32 without a warning.
     """
-    run = _words(master_seed)
-    prefix = run + [0] * (4 - len(run)) + _words(domain)
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value ^= const
-        const = const * _MULT_A & _MASK32
-        value = value * const & _MASK32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        out = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-        return out ^ out >> 16
-
-    pool = [hashmix(w) for w in prefix[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in prefix[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
+    pool = np.random.SeedSequence(master_seed, spawn_key=(domain,)).pool
+    words = [max(1, -(-x.bit_length() // 32)) for x in (master_seed, domain)]
+    w = max(4, words[0]) + words[1]
+    const = _INIT_A * pow(_MULT_A, 16 + 4 * (w - 4), 1 << 32) & _MASK32
     # the index word, the last one, mixes into the four pool words in turn
     xor, mult = _schedule(const, _MULT_A, 4)
     hashed = (index_words[:, None] ^ xor) * mult
     hashed ^= hashed >> 16
-    mixed = np.array([_MIX_MULT_L * x & _MASK32 for x in pool], np.uint32) \
-        - _MIX_MULT_R * hashed
+    mixed = _MIX_MULT_L * pool - _MIX_MULT_R * hashed
     mixed ^= mixed >> 16
-    # generate_state(4, uint64): words 0..7 from the cycled pool, paired
-    # little-endian into s0..s3; PCG64 seeds with s0 << 64 | s1 and
-    # increment s2 << 64 | s3. Slot j takes word j ^ 2, so each row's bytes
-    # read as those two 128-bit little-endian ints.
-    order = [j ^ 2 for j in range(8)]
+    # output words 0..7 cycle the pool and pair little-endian into uint64s
     xor, mult = _schedule(_INIT_B, _MULT_B, 8)
-    out = (mixed[:, [k % 4 for k in order]] ^ xor[order]) * mult[order]
+    out = (np.tile(mixed, 2) ^ xor) * mult
     out ^= out >> 16
-    raw = out.astype("<u4", copy=False).tobytes()
-    for at in range(0, len(raw), 32):
-        seed = int.from_bytes(raw[at:at + 16], "little")
-        inc = (int.from_bytes(raw[at + 16:at + 32], "little") << 1 | 1) & _MASK128
-        yield ((inc + seed) * _PCG64_MULT + inc) & _MASK128, inc
+    return out.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+class _Row(np.random.bit_generator.ISeedSequence):
+    """A seed sequence whose state is one precomputed `_stream_rows` row."""
+
+    def __init__(self, row):
+        self.row = row
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.row
 
 
 def draw_noise(master_seed, indices, n, unraveling, dt, domain=0):
@@ -545,22 +517,20 @@ def draw_noise(master_seed, indices, n, unraveling, dt, domain=0):
     The stream of index i is PCG64 seeded by
     SeedSequence(entropy=master_seed, spawn_key=(domain, i)); `domain`
     separates stream families (0 for trajectories, 1 for second-observer
-    samples). The seeding is computed for the whole batch at once and set
-    on one reused generator, with the same draws as seeding each stream on
-    its own. An index must lie in [0, 2^32).
+    samples). numpy seeds each stream from its generate_state row, whose
+    index-word hash runs here for the whole batch at once; the draws equal
+    those of seeding each stream on its own. The seed and domain must be
+    nonnegative, and an index must lie in [0, 2^32).
     """
     idx = np.asarray(indices)
     bad = (idx < 0) | (idx > _MASK32)
     if bad.any():
         raise ValueError(f"trajectory index {idx[bad][0]} is outside [0, 2**32)")
     noise = np.empty((n, idx.size))
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
     scale = np.sqrt(dt)
-    for col, (state, inc) in enumerate(
-            _stream_states(int(master_seed), int(domain), idx.astype(np.uint32))):
-        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                        "has_uint32": 0, "uinteger": 0}
+    rows = _stream_rows(int(master_seed), int(domain), idx.astype(np.uint32))
+    for col, row in enumerate(rows):
+        rng = np.random.Generator(np.random.PCG64(_Row(row)))
         noise[:, col] = rng.random(n) if unraveling == "jump" \
             else rng.normal(0.0, scale, size=n)
     return noise

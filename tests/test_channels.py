@@ -114,6 +114,11 @@ class TestCompose:
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
+    def test_dim_mismatch_rejected(self):
+        with pytest.raises(DimMismatchError, match="share dimension"):
+            compose(identity_map(2), identity_map(3))
+
+
 class TestPetzRecover:
     def test_reverses_unitary(self):
         rng = np.random.default_rng(7)

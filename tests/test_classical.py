@@ -39,6 +39,14 @@ class TestKernelValidation:
         with pytest.raises(ValueError):
             ConditionalKernel({0: np.array([[1.1, 0], [-0.1, 1.0]])})
 
+    def test_empty_kernel_rejected(self):
+        with pytest.raises(ValueError, match="at least one outcome"):
+            ConditionalKernel({})
+
+    def test_unequal_sizes_rejected(self):
+        with pytest.raises(ValueError, match="square and equal size"):
+            ConditionalKernel({0: np.eye(2), 1: np.eye(3)})
+
     def test_unknown_outcome(self):
         k = two_outcome_identity_kernel()
         with pytest.raises(UnknownOutcomeError):

@@ -389,6 +389,12 @@ class TestClassicalDemo:
         _, _, data = read_csv(out)
         assert np.max(np.abs(data[:, 1:3] - data[:, 3:5])) < 1e-12
 
+    def test_uniform_needs_positive_likelihoods(self, tmp_path, capsys):
+        # at nbar = 0 the ground state never clicks: a zero likelihood
+        assert run(["classical-demo", "--nbar", "0", "--demo-uniform", "1",
+                    "--out", str(tmp_path / "demo.csv")]) == 2
+        assert "raise nbar above 0" in capsys.readouterr().err
+
 
 class TestHelp:
     def test_help_exits_zero(self, capsys):

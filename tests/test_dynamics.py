@@ -75,6 +75,10 @@ class TestModelParams:
             params(rho0=np.diag([2.0, -1.0]).astype(complex))
         with pytest.raises(InvalidParamsError, match="non-finite"):
             params(rho0=np.diag([np.nan, 0.0]))
+        with pytest.raises(InvalidParamsError, match=r"must be 2x2, got \(3, 3\)"):
+            params(rho0=np.eye(3) / 3)
+        with pytest.raises(InvalidParamsError, match="trace 1.2 is not 1"):
+            params(rho0=np.diag([0.6, 0.6]))
 
     def test_phi_resolution(self):
         assert params(unraveling="homodyne_x").phi == 0.0
@@ -284,6 +288,11 @@ class TestTransferCore:
         with pytest.raises(ValueError, match=r"2x2, got shape \(2, 3\)"):
             StepOperators(u=ops.u, k=ops.k, c=np.zeros((2, 3)), dt=1e-3, unraveling=unraveling)
 
+    def test_unknown_unraveling_rejected(self):
+        ops = build_step_operators(params())
+        with pytest.raises(ValueError, match="unraveling must be one of .* got 'bogus'"):
+            StepOperators(u=ops.u, k=ops.k, c=ops.c, dt=1e-3, unraveling="bogus")
+
 
 class TestClickSparseForward:
     """The photon-counting forward step computes S_1 r only where a click
@@ -428,10 +437,13 @@ def index_sets(draw):
 
 class TestDrawNoise:
     # seeds at the word-count edges of SeedSequence's entropy (1, 2, 3, 4
-    # and more than 4 words), domains of one and two words
-    @given(seed=st.one_of(st.sampled_from([0, 2 ** 32 - 1, 2 ** 32, 2 ** 64, 2 ** 128]),
+    # and more than 4 words; four or more get no padding), domains of one
+    # and two words
+    @given(seed=st.one_of(st.sampled_from([0, 2 ** 32 - 1, 2 ** 32, 2 ** 64, 2 ** 96,
+                                           2 ** 128 - 1, 2 ** 128]),
                           st.integers(0, 2 ** 160)),
-           domain=st.one_of(st.sampled_from([0, 1]), st.integers(2 ** 32, 2 ** 64)),
+           domain=st.one_of(st.sampled_from([0, 1, 2 ** 32 - 1]),
+                            st.integers(2 ** 32, 2 ** 64)),
            indices=index_sets(), n=st.sampled_from([0, 1, 7]),
            unraveling=st.sampled_from(["jump", "homodyne_x"]))
     @example(seed=2 ** 128 + 5, domain=2 ** 33, indices=[2 ** 32 - 1, 0], n=3,
@@ -448,6 +460,13 @@ class TestDrawNoise:
         # a uint32 cast would wrap it onto another trajectory's stream
         with pytest.raises(ValueError, match=f"trajectory index {index} "):
             draw_noise(0, [3, index, 4], 5, "jump", 1e-3)
+
+    @pytest.mark.parametrize("seed, domain", [(-1, 0), (-2 ** 40, 0), (0, -1)])
+    def test_rejects_negative_seed_or_domain(self, seed, domain):
+        # keeping only the low word would alias -1 onto 2^32 - 1 and
+        # -2^40 onto 0
+        with pytest.raises(ValueError, match="non-negative"):
+            draw_noise(seed, [0, 1], 3, "jump", 1e-3, domain)
 
 
 class TestEnsembleMeanConsistency:

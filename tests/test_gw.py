@@ -178,6 +178,12 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="n_bob must be at least 1"):
             gw_smooth(fr.record, p, "jump", n_bob=n_bob, seed=0)
 
+    def test_record_off_the_grid_is_value_error(self):
+        p = params()
+        fr = filter_trajectory(p)
+        with pytest.raises(ValueError, match="record has 9 steps but the grid has 10"):
+            gw_smooth(fr.record[:-1], p, "jump", n_bob=4, seed=0)
+
     def test_fractional_seed_is_value_error(self):
         p = params()
         fr = filter_trajectory(p)

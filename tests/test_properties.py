@@ -12,6 +12,7 @@ composability draws the seed of its random channel pairs, priors and inputs.
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -81,6 +82,11 @@ def test_future_average_recovers_filtered(p, past, future):
         warnings.simplefilter("error")  # eta = 0 futures click with probability 0
         defect, tol = checks.future_enumeration(p.replace(unraveling="jump"), past, future)
     assert defect < tol
+
+
+def test_future_enumeration_caps_future_steps():
+    with pytest.raises(ValueError, match=r"future_steps must lie in \[0, 16\]"):
+        checks.future_enumeration(ModelParams(omega=1.0, nbar=0.5), future_steps=17)
 
 
 @given(diagonal_models())

@@ -339,6 +339,10 @@ class TestPetzFuchs:
         expected = expected / expected.sum()
         assert np.max(np.abs(out - np.diag(expected))) < 1e-12
 
+    def test_zero_filtered_state_raises(self):
+        with pytest.raises(ZeroTraceError, match="zero trace"):
+            petz_fuchs(np.zeros((2, 2), dtype=complex), np.eye(2))
+
     def test_zero_overlap_raises(self):
         with pytest.raises(ZeroTraceError):
             petz_fuchs(np.diag([1.0, 0.0]).astype(complex),
