@@ -102,7 +102,7 @@ class ModelParams:
         if self.unraveling not in UNRAVELINGS:
             raise InvalidParamsError(
                 f"unraveling must be one of {UNRAVELINGS}, got {self.unraveling!r}")
-        for name in ("omega", "nbar", "phi", "t_final"):
+        for name in ("omega", "nbar", "gamma", "phi", "t_final"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise InvalidParamsError(f"{name} must be finite, got {value}")
@@ -118,12 +118,14 @@ class ModelParams:
             raise InvalidParamsError("t_final must be at least dt")
         if self.seed < 0 or self.seed % 1 != 0:
             raise InvalidParamsError(f"seed must be a nonnegative integer, got {self.seed}")
-        # Exact square roots of 1 - L^dag L dt require the arguments PSD.
-        rate_meas = self.eta * self.gamma * (self.nbar + 1.0)
-        rate_unmeas = self.gamma * self.nbar + (1.0 - self.eta) * self.gamma * (self.nbar + 1.0)
-        if max(rate_meas, rate_unmeas) * self.dt >= 1.0:
+        # The no-event roots sqrt(1 - c^dag c dt) and sqrt(1 - sum L^dag L dt)
+        # need both arguments PSD.
+        _, c, unmeasured = model_operators(self)
+        rates = [dag(c) @ c, sum(dag(a) @ a for a in unmeasured)]
+        step = np.linalg.eigvalsh(np.array(rates))[:, -1].max() * self.dt
+        if not step < 1.0:
             raise InvalidParamsError(
-                "dt too large: gamma*(nbar+1)*dt must stay below 1")
+                f"dt too large: max(|c^dag c|, |sum L^dag L|) * dt = {step:.6g} must stay below 1")
         if self.phi is None:
             object.__setattr__(self, "phi", _DEFAULT_PHI.get(self.unraveling))
         rho0 = GROUND if self.rho0 is None else self.rho0

@@ -16,12 +16,10 @@ import numpy as np
 # from repeated map applications); anything below is a genuine PSD violation.
 PSD_CLAMP_TOL = 1e-10
 
-# Relative support threshold for pseudo-inverse square roots.
-SUPPORT_RTOL = 1e-12
-
 # Eigenvalues below this fraction of the largest one are double-precision
 # junk on a rank-deficient matrix; square roots would amplify them to
-# sqrt(eps), so the spectral routines floor them to exact zeros.
+# sqrt(eps), so every root (`hermitian_sqrt`, `pinv_sqrt`, `sqrt_psd_stack`
+# and `smoothing.qubit_sandwich`) floors them to exact zeros.
 RANK_FLOOR_RTOL = 1e-14
 
 # A trace or weight at or below this is zero: there is nothing to
@@ -73,38 +71,34 @@ def hermitize(m):
 
 
 def _eigh_clamped(m):
-    """eigh of the hermitized input with negative eigenvalues clamped to 0.
+    """eigh of the hermitized input, its spectrum clamped at 0 and floored.
 
-    Raises NotPSDError if any eigenvalue lies below -PSD_CLAMP_TOL.
+    Eigenvalues in [-PSD_CLAMP_TOL, 0) and below RANK_FLOOR_RTOL times the
+    largest become exact zeros, so the floor is scale free for
+    unnormalized states. Raises NotPSDError if any eigenvalue lies below
+    -PSD_CLAMP_TOL.
     """
     w, v = np.linalg.eigh(hermitize(np.asarray(m, dtype=complex)))
     if w[0] < -PSD_CLAMP_TOL:
         raise NotPSDError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
-    return np.maximum(w, 0.0), v
+    w = np.maximum(w, 0.0)
+    w[w < RANK_FLOOR_RTOL * w[-1]] = 0.0
+    return w, v
 
 
 def hermitian_sqrt(m):
-    """Hermitian PSD square root S with S @ S = m.
-
-    Eigenvalues in [-PSD_CLAMP_TOL, 0) are clamped to zero before the root,
-    and relative rank-deficiency junk is floored (see RANK_FLOOR_RTOL).
-    """
+    """Hermitian PSD square root S with S @ S = m, on the floored spectrum."""
     w, v = _eigh_clamped(m)
-    w[w < RANK_FLOOR_RTOL * w[-1]] = 0.0
     return (v * np.sqrt(w)) @ dag(v)
 
 
 def pinv_sqrt(m):
-    """Support-restricted inverse square root of a PSD matrix.
-
-    Eigenvalues above SUPPORT_RTOL times the largest eigenvalue map to
-    lambda**-0.5, the rest to 0, so support detection is scale free for
-    unnormalized states.
-    """
+    """Support-restricted inverse square root of a PSD matrix: the nonzero
+    eigenvalues of the floored spectrum map to lambda**-0.5, the rest to 0."""
     w, v = _eigh_clamped(m)
-    keep = w > SUPPORT_RTOL * (w[-1] if w[-1] > 0 else 1.0)
+    keep = w > 0.0
     inv = np.zeros_like(w)
-    inv[keep] = 1.0 / np.sqrt(w[keep])  # only kept eigenvalues: the tolerance may underflow
+    inv[keep] = 1.0 / np.sqrt(w[keep])
     return (v * inv) @ dag(v)
 
 

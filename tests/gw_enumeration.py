@@ -39,7 +39,10 @@ def gw_enumerate(record, p: ModelParams):
     leaves = np.arange(2 ** n)
     branches = np.stack([per_time[t][:, leaves >> (n - t)] for t in range(n + 1)])
     traces = vector_trace(branches.swapaxes(0, 1))
+    # a branch the record rules out has zero trace: it gets zero weight
+    live = traces > 0.0
+    safe = np.where(live, traces, 1.0)
     gw, gw_pf, _ = smoothing._combine_true_states(
-        branches / traces[:, None], np.log(traces), eff.coords)
+        branches / safe[:, None], np.where(live, np.log(safe), -np.inf), eff.coords)
     ess = np.full(n + 1, np.nan)
     return smoothing.GwResult(gw=gw, gw_pf=gw_pf, ess=ess), filtered

@@ -83,6 +83,15 @@ class TestSimulate:
     def test_dt_zero_is_config_error(self, capsys):
         assert run(["simulate", "--dt", "0"]) == 2
 
+    def test_step_bound_is_the_largest_rate(self, tmp_path, capsys):
+        # at eta = 0 the largest rate is the undetected emission, 2: 0.8 < 1
+        assert run(["simulate", "--nbar", "1", "--eta", "0", "--dt", "0.4",
+                    "--t-final", "2", "--out", str(tmp_path / "ok.csv")]) == 0
+        # at the defaults it is the detected emission, 1.5
+        assert run(["simulate", "--dt", "0.9", "--out", str(tmp_path / "x")]) == 2
+        assert "dt = 1.35 must stay below 1" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_full_precision_roundtrip(self):
         # the CSV number formatter must reproduce doubles exactly
         rng = np.random.default_rng(0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qsmooth import channels, dynamics, qmath
+from qsmooth import channels, dynamics, qmath, smoothing
 from qsmooth.dynamics import (
     BASIS,
     UNRAVELINGS,
@@ -56,8 +56,9 @@ class TestModelParams:
         dict(eta=-0.1),
         dict(nbar=-0.2),
         dict(gamma=0.0),
+        dict(gamma=np.inf),
         dict(unraveling="heterodyne"),
-        dict(dt=0.9),  # gamma (nbar+1) dt would reach 1.35
+        dict(dt=0.9),  # eta gamma (nbar+1) dt would reach 1.35
         dict(omega=np.inf),
         dict(nbar=np.nan),
         dict(unraveling="homodyne_x", phi=np.nan),
@@ -67,6 +68,15 @@ class TestModelParams:
     def test_rejects_invalid(self, bad):
         with pytest.raises(InvalidParamsError):
             params(**bad)
+
+    def test_step_bound_is_the_largest_rate(self):
+        # at eta = 0 the unmeasured rates nbar = 1 (on |g>) and nbar + 1 = 2
+        # (on |e>) act on orthogonal states: the bound is 2 dt < 1, not 3 dt
+        p = ModelParams(omega=1.0, nbar=1.0, eta=0.0, dt=0.4)
+        res = smoothing.smooth_trajectory(p)
+        assert np.all(res.purity_smoothed <= 1.0 + 1e-12)
+        with pytest.raises(InvalidParamsError, match=r"\* dt = 1.35 must stay below 1"):
+            params(dt=0.9)
 
     def test_rejects_bad_rho0(self):
         with pytest.raises(InvalidParamsError):

@@ -94,6 +94,19 @@ class TestEnumerated:
         print(f"\nmean purity: recovery-smoothed mixture {pur(res.gw_pf):.4f} "
               f"vs plain mixture {pur(res.gw):.4f}")
 
+    def test_branch_the_record_rules_out_gets_zero_weight(self):
+        # from |g>, a click at step 0 needs the absorption the second
+        # observer sees in the same step: the branch without it has zero trace
+        p = params(nbar=1.0, dt=2e-2, t_final=12 * 2e-2)
+        record = np.zeros(12)
+        record[0] = 1.0
+        res, alice = gw_enumerate(record, p)
+        filtered = to_matrix(alice[-1] / (np.sqrt(2.0) * alice[-1, 0]))
+        for states in (res.gw, res.gw_pf):
+            assert np.all(np.isfinite(states))
+            assert np.max(np.abs(np.einsum("tii->t", states).real - 1.0)) < 1e-12
+            assert np.max(np.abs(states[-1] - filtered)) < 1e-10
+
     def test_impossible_record_raises(self):
         # with no drive and no absorption, two clicks in a row leave the
         # emitter no time to be re-excited: no state can produce the record

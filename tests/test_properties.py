@@ -1,12 +1,13 @@
 """The smoothed state's invariants over the valid parameter space.
 
 Draws cover all three unravelings, nbar and eta at their edges (nbar = 0,
-eta in {0, 1}) and inside, dt up to 0.95 of the bound gamma (nbar+1) dt < 1,
-pure and mixed initial states, and horizons of 1 to 40 steps. Future
-enumeration runs the drawn model with photon counting, after 0 to 5 past
-steps and over 0 to 6 future steps. The classical reduction draws the same
-rates, steps and horizons with no drive and a diagonal initial state. Petz
-composability draws the seed of its random channel pairs, priors and inputs.
+eta in {0, 1}) and inside, dt up to 0.95 of the bound max(|c^dag c|,
+|sum L^dag L|) dt < 1, pure and mixed initial states, and horizons of 1
+to 40 steps. Future enumeration runs the drawn model with photon
+counting, after 0 to 5 past steps and over 0 to 6 future steps. The
+classical reduction draws the same rates, steps and horizons with no drive
+and a diagonal initial state. Petz composability draws the seed of its
+random channel pairs, priors and inputs.
 """
 
 import warnings
@@ -17,17 +18,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsmooth import checks, qmath, smoothing
-from qsmooth.dynamics import UNRAVELINGS, ModelParams
+from qsmooth.dynamics import UNRAVELINGS, InvalidParamsError, ModelParams
 from qsmooth.ensemble import EnsembleSpec, run_ensemble
+
+
+def _max_rate(nbar, eta):
+    """The largest eigenvalue of c^dag c and of sum L^dag L, in units of
+    gamma: the detected emission eta (nbar+1) on |e>, the absorption nbar on
+    |g> and the undetected emission (1-eta) (nbar+1) on |e>."""
+    return max(eta * (nbar + 1.0), nbar, (1.0 - eta) * (nbar + 1.0))
+
+
+# (nbar, eta)
+RATES = st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+                  st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
 
 
 def _rates_and_step(draw):
     """(nbar, eta, dt) drawn over the valid space."""
-    nbar = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
-    eta = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
-    # the larger of the measured and unmeasured rates bounds dt
-    rate = max(eta * (nbar + 1.0), nbar + (1.0 - eta) * (nbar + 1.0))
-    dt = draw(st.floats(0.01, 0.95)) / rate
+    nbar, eta = draw(RATES)
+    dt = draw(st.floats(0.01, 0.95)) / _max_rate(nbar, eta)
     return nbar, eta, dt
 
 
@@ -57,6 +67,17 @@ def diagonal_models(draw):
         t_final=draw(st.integers(1, 40)) * dt,
         rho0=qmath.bloch_state(0.0, 0.0, draw(st.floats(-1.0, 1.0))),
         seed=draw(st.integers(0, 2 ** 31 - 1)))
+
+
+@given(RATES)
+@settings(max_examples=100, deadline=None)
+def test_step_bound_is_the_largest_rate(rates):
+    # dt = 1 / rate itself lands within an ulp of the bound, on either side
+    nbar, eta = rates
+    rate = _max_rate(nbar, eta)
+    ModelParams(omega=1.0, nbar=nbar, eta=eta, dt=0.99 / rate)
+    with pytest.raises(InvalidParamsError, match="dt too large"):
+        ModelParams(omega=1.0, nbar=nbar, eta=eta, dt=(1.0 + 1e-12) / rate)
 
 
 @given(models())

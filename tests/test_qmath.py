@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsmooth import qmath
-from qsmooth.dynamics import to_vector
+from qsmooth.dynamics import to_matrix, to_vector
 from qsmooth.qmath import (
     NotPSDError,
     dag,
@@ -13,8 +13,7 @@ from qsmooth.qmath import (
     mm,
     pinv_sqrt,
 )
-from qsmooth.qmath import SUPPORT_RTOL
-from qsmooth.smoothing import qubit_statistics
+from qsmooth.smoothing import qubit_sandwich, qubit_statistics
 
 
 EPS = np.finfo(float).eps
@@ -38,10 +37,10 @@ def psd_matrices(draw, dim=2):
 
 
 def support_projector(m):
-    """Orthogonal projector onto the support (range) of a PSD matrix."""
+    """Orthogonal projector onto the support (range) of a PSD matrix: the
+    eigenvalues that `qmath.RANK_FLOOR_RTOL` keeps."""
     w, v = np.linalg.eigh(qmath.hermitize(m))
-    tol = SUPPORT_RTOL * (w[-1] if w[-1] > 0 else 1.0)
-    keep = (w > tol).astype(float)
+    keep = ((w > 0.0) & (w >= qmath.RANK_FLOOR_RTOL * w[-1])).astype(float)
     return (v * keep) @ dag(v)
 
 
@@ -92,11 +91,31 @@ class TestPinvSqrt:
         assert np.max(np.abs(proj - support_projector(m))) < 1e-10
 
     @given(psd_matrices())
-    @example(np.diag([0.0, 9.4e-323]).astype(complex))  # SUPPORT_RTOL * 9.4e-323 underflows
+    @example(np.diag([0.0, 9.4e-323]).astype(complex))  # the floor of 9.4e-323 underflows
     @settings(max_examples=100)
     def test_sqrt_times_pinv_is_projector(self, m):
         prod = mm(hermitian_sqrt(m), pinv_sqrt(m))
         assert np.max(np.abs(prod - support_projector(m))) < 1e-8
+
+
+class TestRankFloor:
+    """Every root keeps or drops the same small eigenvalue."""
+
+    @pytest.mark.parametrize("ratio, kept", [(1e-13, True), (1e-15, False)])
+    def test_roots_share_one_floor(self, ratio, kept):
+        m = np.diag([1.0, ratio]).astype(complex)
+        root = np.sqrt(ratio)
+        assert hermitian_sqrt(m)[1, 1].real == pytest.approx(root if kept else 0.0, rel=1e-12)
+        assert pinv_sqrt(m)[1, 1].real == pytest.approx(1.0 / root if kept else 0.0, rel=1e-12)
+        # the closed forms give (rho + sqrt(det) 1) / (sqrt(l1) + sqrt(l2)):
+        # a dropped l2 leaves rho / sqrt(l1), which holds l2 itself
+        assert qmath.sqrt_psd_stack(m[None])[0, 1, 1].real == pytest.approx(
+            root if kept else ratio, rel=1e-12)
+        # sqrt(rho) X sqrt(rho) is sqrt(l1 l2) X, or l2 X once l2 is dropped;
+        # rho = m / Tr m, and l2 comes off a determinant to eps / ratio
+        sandwich = qubit_sandwich(to_vector(m)[:, None], to_vector(qmath.SIGMA_X)[:, None])
+        assert to_matrix(sandwich[:, 0])[0, 1].real == pytest.approx(
+            (root if kept else ratio) / (1.0 + ratio), rel=1e-2)
 
 
 class TestPurity:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qsmooth import channels, qmath, smoothing
+from qsmooth import channels, checks, qmath, smoothing
 from qsmooth.dynamics import (
     BASIS,
     ModelParams,
@@ -394,6 +394,14 @@ class TestRecursion:
         with pytest.raises(ValueError, match=f"record has {n_record} steps but there are "
                                              "11 filtered states"):
             petz_fuchs_recursive(res.filtered, np.zeros(n_record), p)
+
+    def test_purifying_record_shares_the_rank_floor(self):
+        # nbar = 0 and eta = 1 purify the state within a few 0.9 steps; the
+        # closed form and the recursion must drop the same small eigenvalues
+        p = params(omega=1.1, nbar=0.0, eta=1.0, unraveling="homodyne_y", dt=0.9,
+                   t_final=22.5, rho0=qmath.bloch_state(0.0, 0.0, 0.0), seed=41737)
+        defect, tol = checks.closed_vs_recursive(p)
+        assert defect < tol
 
     def test_full_length_record(self):
         # the full default horizon, including effect rescalings
