@@ -40,6 +40,8 @@ class ConditionalKernel:
         for y, f in mats.items():
             if f.shape != (n, n):
                 raise ValueError("all outcome matrices must be square and equal size")
+            if not np.all(np.isfinite(f)):
+                raise ValueError(f"kernel for outcome {y!r} has non-finite entries")
             if np.any(f < -1e-14):
                 raise ValueError(f"kernel for outcome {y!r} has negative entries")
         total = sum(f.sum(axis=0) for f in mats.values())

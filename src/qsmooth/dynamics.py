@@ -18,13 +18,13 @@ record is the (n,) array of its outcomes.
 All propagation goes through one transfer-matrix core. In the orthonormal
 Pauli coordinates of `BASIS`, (1, X, Y, Z) / sqrt(2), each F_y is a real
 4 x 4 matrix S_y acting on the real coordinate vector of a state, and the
-adjoint F_y^dag is its transpose. `StepOperators` builds the matrices once
-from its Kraus lists: S_0 and S_1 for photon counting, and S_y = A + y B +
-y^2 C for homodyne, where M_y is affine in y. Forward steps compute
-r <- S_y r, backward steps e <- S_y^T e. `forward_walk` is the one forward
-loop: it draws each outcome, steps, checks and divides out the weight, for
-`filter_batch` and for the two-observer `smoothing.gw_smooth`; the backward
-loop is `smoothing.backward_walk`.
+adjoint F_y^dag is its transpose. `StepOperators`, built from H, c and the
+unmeasured L_k, makes the matrices once: S_0 and S_1 for photon counting,
+and S_y = A + y B + y^2 C for homodyne, where M_y is affine in y. Forward
+steps compute r <- S_y r, backward steps e <- S_y^T e. `forward_walk` is
+the one forward loop: it draws each outcome, steps, checks and divides out
+the weight, for `filter_batch` and for the two-observer
+`smoothing.gw_smooth`; the backward loop is `smoothing.backward_walk`.
 
 The filtering engine is vectorized over a batch of trajectories; a single
 trajectory is the batch of size one. All per-trajectory randomness comes
@@ -213,9 +213,10 @@ def stack_products(stack, r):
 class StepOperators:
     """Discretized one-step operators for one unraveling choice.
 
-    All operators are 2x2: the model is one qubit. `c` is the monitored
-    (detected) collapse operator; `k` holds the dissipation Kraus list for
-    every unmeasured channel, with k[0] the exact no-event square root.
+    Built from the Hamiltonian `h`, the monitored (detected) collapse
+    operator `c` and the `unmeasured` Lindblad operators L, all 2x2 (one
+    qubit): the drive u = exp(-i h dt), and the dissipation Kraus list `k`,
+    the exact no-event root sqrt(1 - sum L^dag L dt), then sqrt(dt) L.
 
     `blocks` are the transfer matrices F_y is assembled from: (S_0, S_1)
     for photon counting, (A, B, C) with S_y = A + y B + y^2 C for homodyne.
@@ -224,19 +225,20 @@ class StepOperators:
     their transposes.
     """
 
-    u: np.ndarray
-    k: tuple
+    h: np.ndarray
     c: np.ndarray
+    unmeasured: tuple
     dt: float
     unraveling: str
     phi: Optional[float] = None
     # derived operators, filled in __post_init__
+    u: np.ndarray = field(init=False)
+    k: tuple = field(init=False)
     ctc: np.ndarray = field(init=False)
     m0: np.ndarray = field(init=False)
     m1: np.ndarray = field(init=False)
-    xquad: Optional[np.ndarray] = field(init=False)
-    _hom_base: Optional[np.ndarray] = field(init=False)
-    _hom_lin: Optional[np.ndarray] = field(init=False)
+    _hom_base: Optional[np.ndarray] = field(init=False, default=None)
+    _hom_lin: Optional[np.ndarray] = field(init=False, default=None)
     blocks: tuple = field(init=False)
     forward: np.ndarray = field(init=False)
     backward: np.ndarray = field(init=False)
@@ -245,63 +247,44 @@ class StepOperators:
         if self.unraveling not in UNRAVELINGS:
             raise ValueError(
                 f"unraveling must be one of {UNRAVELINGS}, got {self.unraveling!r}")
-        for op in (self.u, self.c, *self.k):
-            if np.shape(op) != (2, 2):
-                raise ValueError(f"step operators must be 2x2, got shape {np.shape(op)}")
-        ctc = mm(dag(self.c), self.c)
-        object.__setattr__(self, "ctc", ctc)
-        object.__setattr__(self, "m1", np.sqrt(self.dt) * self.c)
-        object.__setattr__(self, "m0", qmath.hermitian_sqrt(IDENTITY2 - ctc * self.dt))
+        h, c = (np.asarray(op, dtype=complex) for op in (self.h, self.c))
+        unmeasured = tuple(np.asarray(op, dtype=complex) for op in self.unmeasured)
+        for op in (h, c, *unmeasured):
+            if op.shape != (2, 2):
+                raise ValueError(f"step operators must be 2x2, got shape {op.shape}")
+        dt, ctc = self.dt, mm(dag(c), c)
+        total = sum((mm(dag(op), op) for op in unmeasured), np.zeros((2, 2), dtype=complex))
+        self._set(h=h, c=c, unmeasured=unmeasured, ctc=ctc, u=_expm_hermitian(h, -dt),
+                  k=(qmath.hermitian_sqrt(IDENTITY2 - total * dt),
+                     *(np.sqrt(dt) * op for op in unmeasured)),
+                  m1=np.sqrt(dt) * c, m0=qmath.hermitian_sqrt(IDENTITY2 - ctc * dt))
         if self.unraveling == "jump":
-            object.__setattr__(self, "xquad", None)
-            object.__setattr__(self, "_hom_base", None)
-            object.__setattr__(self, "_hom_lin", None)
             blocks = tuple(transfer_matrix(self.conditional_map(y)) for y in (0, 1))
             extra = ()
         else:
             if self.phi is None:
-                object.__setattr__(self, "phi", _DEFAULT_PHI[self.unraveling])
+                self._set(phi=_DEFAULT_PHI[self.unraveling])
             ph = np.exp(1j * self.phi)
-            object.__setattr__(self, "xquad", self.c * ph + dag(self.c) * np.conj(ph))
-            y2 = ctc * self.dt
-            object.__setattr__(self, "_hom_base", IDENTITY2 - 0.5 * y2 + 0.125 * mm(y2, y2))
-            object.__setattr__(self, "_hom_lin", self.c * ph * self.dt)
+            y2 = ctc * dt
+            self._set(_hom_base=IDENTITY2 - 0.5 * y2 + 0.125 * mm(y2, y2), _hom_lin=c * ph * dt)
             # F_y is quadratic in y: read A, B, C off three evaluations at
             # the size of a typical current, 1/sqrt(dt). At y = +-1 the
             # O(dt^2) term C would come out of an O(1) difference, and S_y
             # would miss F_y by up to 3e-12 at realistic currents.
-            scale = 1.0 / np.sqrt(self.dt)
+            scale = 1.0 / np.sqrt(dt)
             s_m, s_0, s_p = (transfer_matrix(self.conditional_map(y * scale))
                              for y in (-1.0, 0.0, 1.0))
             blocks = (s_0, (s_p - s_m) / (2.0 * scale),
                       (0.5 * (s_p + s_m) - s_0) / scale ** 2)
-            mean = channels.adjoint_apply(self.dissipation_map(), self.xquad)
-            extra = (to_vector(mean)[None, :],)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "forward", np.vstack(blocks + extra))
-        object.__setattr__(self, "backward", np.vstack([b.T for b in blocks]))
+            xquad = c * ph + dag(c) * np.conj(ph)
+            extra = (to_vector(channels.adjoint_apply(self.dissipation_map(), xquad))[None, :],)
+        self._set(blocks=blocks, forward=np.vstack(blocks + extra),
+                  backward=np.vstack([b.T for b in blocks]))
 
-    @classmethod
-    def from_operators(cls, h, c, unmeasured, dt, unraveling, phi=None):
-        """Build step operators from a Hamiltonian and collapse operators.
-
-        `unmeasured` is the list of Lindblad operators whose dissipation is
-        not resolved by the detector; they become the event Kraus
-        operators, with the exact no-event root completing the set.
-        """
-        h = np.asarray(h, dtype=complex)
-        d = h.shape[0]
-        eye = np.eye(d, dtype=complex)
-        u = _expm_hermitian(h, -dt)
-        total = np.zeros((d, d), dtype=complex)
-        events = []
-        for L in unmeasured:
-            L = np.asarray(L, dtype=complex)
-            total += mm(dag(L), L)
-            events.append(np.sqrt(dt) * L)
-        k0 = qmath.hermitian_sqrt(eye - total * dt)
-        return cls(u=u, k=(k0, *events), c=np.asarray(c, dtype=complex),
-                   dt=dt, unraveling=unraveling, phi=phi)
+    def _set(self, **fields):
+        """Fill in fields of the frozen instance."""
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     # -- measurement operators -------------------------------------------
 
@@ -313,24 +296,36 @@ class StepOperators:
             return self.m1 if outcome >= 0.5 else self.m0
         return self._hom_base + float(outcome) * self._hom_lin
 
+    def checked_record(self, record):
+        """The (n,) outcomes `record` as floats. Raises ValueError at the
+        first outcome the instrument cannot record: photon counting records
+        0 or 1, homodyne a finite current."""
+        record = np.asarray(record, dtype=float)
+        jump = self.unraveling == "jump"
+        bad = ~np.isin(record, (0.0, 1.0)) if jump else ~np.isfinite(record)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"record outcome {record[i]} at index {i} is not "
+                             + ("0 or 1" if jump else "a finite current"))
+        return record
+
     # -- channels ---------------------------------------------------------
+
+    def _kraus_map(self, *measurements):
+        """CP map with the Kraus operators U M K_l, M in `measurements`."""
+        ums = [mm(self.u, m) for m in measurements]
+        return CPMap(tuple(mm(um, kk) for um in ums for kk in self.k))
 
     def conditional_map(self, outcome):
         """The one-step conditional CP map F_y as a Kraus list."""
-        m = self.measurement_op(outcome)
-        um = mm(self.u, m)
-        return CPMap(tuple(mm(um, kk) for kk in self.k))
+        return self._kraus_map(self.measurement_op(outcome))
 
     def dissipation_map(self):
         return CPMap(self.k)
 
     def unconditional_map(self):
         """Outcome-summed channel; exactly trace preserving."""
-        ops = []
-        for m in (self.m0, self.m1):
-            um = mm(self.u, m)
-            ops.extend(mm(um, kk) for kk in self.k)
-        return CPMap(tuple(ops))
+        return self._kraus_map(self.m0, self.m1)
 
     # -- transfer matrices --------------------------------------------------
 
@@ -370,8 +365,7 @@ def model_operators(p: ModelParams):
 
 def build_step_operators(p: ModelParams) -> StepOperators:
     """Step operators for the driven thermal qubit (see `model_operators`)."""
-    return StepOperators.from_operators(
-        *model_operators(p), p.dt, p.unraveling, phi=p.phi)
+    return StepOperators(*model_operators(p), p.dt, p.unraveling, phi=p.phi)
 
 
 def sample_outcomes(ops: StepOperators, u, r, noise):

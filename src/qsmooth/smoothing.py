@@ -113,9 +113,11 @@ def backward_walk(ops: StepOperators, outcomes):
 def retrofilter(record, p: ModelParams) -> EffectSeries:
     """Retrofiltered effects along the (n,) outcomes `record`: the width-1
     `backward_walk`, with the steps' trace rescalings accumulated into a log
-    scale. Raises ZeroTraceError naming the latest time index from which no
-    state can produce the rest of the record."""
-    walk = list(backward_walk(build_step_operators(p), np.asarray(record, dtype=float)[:, None]))
+    scale. Raises ValueError on an outcome the instrument cannot record
+    (`StepOperators.checked_record`), and ZeroTraceError naming the latest
+    time index from which no state can produce the rest of the record."""
+    ops = build_step_operators(p)
+    walk = list(backward_walk(ops, ops.checked_record(record)[:, None]))
     dead = [s for s, _, scale in walk if not scale[0] > 0.0]  # latest first
     if dead:
         raise ZeroTraceError(f"no state at time index {dead[0]} can produce the record")
@@ -212,9 +214,11 @@ def petz_fuchs_recursive(filtered_states, record, p: ModelParams):
     Each step recovers the next smoothed state through the one-step
     conditional map with the stored filtered state as reference prior; the
     forward series is never re-simulated. Agrees with the closed form on
-    the support of the filtered state.
+    the support of the filtered state. The record is checked as in
+    `retrofilter`.
     """
     ops = build_step_operators(p)
+    record = ops.checked_record(record)
     states = np.asarray(filtered_states, dtype=complex)
     n = len(record)
     if len(states) != n + 1:
@@ -313,9 +317,8 @@ def _true_state_operators(p: ModelParams, bob_unraveling):
     with no dissipation of their own.
     """
     h, c, unmeasured = model_operators(p)
-    alice = StepOperators.from_operators(h, c, (), p.dt, p.unraveling, p.phi)
-    bob = StepOperators.from_operators(np.zeros_like(h), unmeasured[0], unmeasured[1:],
-                                       p.dt, bob_unraveling)
+    alice = StepOperators(h, c, (), p.dt, p.unraveling, p.phi)
+    bob = StepOperators(np.zeros_like(h), unmeasured[0], unmeasured[1:], p.dt, bob_unraveling)
     return alice, bob
 
 

@@ -39,6 +39,11 @@ class TestKernelValidation:
         with pytest.raises(ValueError):
             ConditionalKernel({0: np.array([[1.1, 0], [-0.1, 1.0]])})
 
+    def test_non_finite_entries_rejected(self):
+        # NaN fails no comparison, so the sign and completeness checks pass it
+        with pytest.raises(ValueError, match="outcome 0 has non-finite entries"):
+            ConditionalKernel({0: [[np.nan, 0], [0, 0.5]], 1: [[0, 0], [0, 0.5]]})
+
     def test_empty_kernel_rejected(self):
         with pytest.raises(ValueError, match="at least one outcome"):
             ConditionalKernel({})

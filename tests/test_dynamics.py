@@ -293,15 +293,15 @@ class TestTransferCore:
         rng = np.random.default_rng(9)
         g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         with pytest.raises(ValueError, match=r"2x2, got shape \(3, 3\)"):
-            StepOperators.from_operators(g + dag(g), g, [g], 1e-3, unraveling)
-        ops = build_step_operators(params(unraveling=unraveling))
+            StepOperators(g + dag(g), g, [g], 1e-3, unraveling)
+        h, _, unmeasured = dynamics.model_operators(params(unraveling=unraveling))
         with pytest.raises(ValueError, match=r"2x2, got shape \(2, 3\)"):
-            StepOperators(u=ops.u, k=ops.k, c=np.zeros((2, 3)), dt=1e-3, unraveling=unraveling)
+            StepOperators(h, np.zeros((2, 3)), unmeasured, 1e-3, unraveling)
 
     def test_unknown_unraveling_rejected(self):
-        ops = build_step_operators(params())
+        h, c, unmeasured = dynamics.model_operators(params())
         with pytest.raises(ValueError, match="unraveling must be one of .* got 'bogus'"):
-            StepOperators(u=ops.u, k=ops.k, c=ops.c, dt=1e-3, unraveling="bogus")
+            StepOperators(h, c, unmeasured, 1e-3, "bogus")
 
 
 class TestClickSparseForward:

@@ -10,6 +10,7 @@ from qsmooth.dynamics import (
     stack_products,
     to_matrix,
     to_vector,
+    vector_trace,
 )
 from qsmooth.qmath import ZeroTraceError, dag, mm
 from qsmooth.smoothing import DegenerateWeightsError, gw_smooth
@@ -22,6 +23,40 @@ def params(**kw):
                 t_final=0.1, seed=5, rho0=PURE_GROUND)
     base.update(kw)
     return ModelParams(**base)
+
+
+def sample_joint(p, n_samples, rng):
+    """Alice's records (n, N) and the normalized true states (n+1, 4, N) of
+    N draws from the joint law of both photon-counting records.
+
+    Each step draws Bob's z from `bob.forward`, then Alice's y from
+    `alice.forward` on the result: the order in which `_true_state_stack`
+    composes the two observers.
+    """
+    alice, bob = smoothing._true_state_operators(p, "jump")
+    states = np.empty((p.n_steps + 1, 4, n_samples))
+    states[0] = to_vector(p.rho0)[:, None]
+    records = np.empty((p.n_steps, n_samples))
+    for s in range(p.n_steps):
+        r = states[s]
+        for ops in (bob, alice):
+            u = stack_products(ops.forward, r)
+            y, _ = dynamics.sample_outcomes(ops, u, r, rng.random(n_samples))
+            u = ops.combine(u, y)
+            r = u / vector_trace(u)
+        states[s + 1] = r
+        records[s] = y
+    return records, states
+
+
+def group_statistics(states, in_group):
+    """Mean and standard error, per time and coordinate, of the true states
+    in one group: (n+1, 4) each."""
+    stats = []
+    for r in states:
+        x = r[:, in_group]
+        stats.append((x.mean(axis=1), x.std(axis=1, ddof=1) / np.sqrt(x.shape[1])))
+    return (np.array(column) for column in zip(*stats))
 
 
 class TestTrueStateStep:
@@ -211,3 +246,30 @@ class TestMonteCarlo:
             assert qmath.min_eigenvalue_stack(series).min() >= -1e-10
             traces = np.einsum("tii->t", series).real
             assert np.max(np.abs(traces - 1.0)) < 1e-10
+
+
+class TestJointLaw:
+    def test_gw_is_the_mean_true_state_given_the_record(self):
+        # gw(t) = E[rho_T(t) | Alice's whole record]: grouped by Alice's
+        # record, the mean true state of joint draws must match it. The
+        # filtered state ignores the rest of the record, and this sample
+        # size must tell it apart.
+        p = params(rho0=np.eye(2) / 2, dt=2e-2, t_final=10 * 2e-2)
+        records, states = sample_joint(p, 400_000, np.random.default_rng(4))
+        keys, group, counts = np.unique(records.T, axis=0, return_inverse=True,
+                                        return_counts=True)
+        largest = np.argsort(counts)[::-1][:4]
+        assert counts[largest].tolist() == [344279, 5897, 5841, 5780]
+        filtered_misses = []
+        for g in largest:
+            mean, se = group_statistics(states, group.ravel() == g)
+            res, alice = gw_enumerate(keys[g], p)
+            filtered = alice / vector_trace(alice.T)[:, None]
+            # An se below 1e-12 is round-off on a fixed coordinate: all of
+            # t = 0, the trace, and Y, which stays zero as U and every Kraus
+            # operator are real.
+            varies = se > 1e-12
+            miss = lambda target: np.max(np.abs(mean - target)[varies] / se[varies])
+            assert miss(to_vector(res.gw)) < 4.0
+            filtered_misses.append(miss(filtered))
+        assert max(filtered_misses) > 4.0

@@ -316,6 +316,37 @@ class TestRetrofilter:
         assert np.max(np.abs(res.smoothed - res.filtered)) < 1e-12
 
 
+class TestRecordCheck:
+    """A supplied record is checked against the instrument's outcome rule
+    before any step reads it: 0.3 would read as no click, 2.0 and -1.0 as
+    a click and no click, and a NaN current would end in ZeroTraceError."""
+
+    JUMP = [0.3, 2.0, -1.0]
+    BAD_JUMP = r"outcome 0.3 at index 0 is not 0 or 1"
+
+    def test_retrofilter(self):
+        with pytest.raises(ValueError, match=self.BAD_JUMP):
+            retrofilter(self.JUMP, params(dt=1e-2, t_final=0.03))
+
+    def test_gw_smooth(self):
+        with pytest.raises(ValueError, match=self.BAD_JUMP):
+            smoothing.gw_smooth(self.JUMP, params(dt=1e-2, t_final=0.03), "jump",
+                                n_bob=50, seed=1)
+
+    def test_petz_fuchs_recursive(self):
+        states = np.tile(np.eye(2, dtype=complex) / 2, (4, 1, 1))
+        with pytest.raises(ValueError, match=self.BAD_JUMP):
+            petz_fuchs_recursive(states, self.JUMP, params(dt=1e-2, t_final=0.03))
+
+    @pytest.mark.parametrize("unraveling", ["homodyne_x", "homodyne_y"])
+    def test_non_finite_current(self, unraveling):
+        p = params(unraveling=unraveling, dt=1e-2, t_final=0.03)
+        with pytest.raises(ValueError, match=r"outcome nan at index 1 is not a finite current"):
+            retrofilter([0.1, np.nan, 0.2], p)
+        with pytest.raises(ValueError, match=r"outcome -inf at index 2 is not a finite current"):
+            retrofilter([0.1, 0.2, -np.inf], p)
+
+
 class TestPetzFuchs:
     def test_identity_effect_returns_filtered(self):
         rng = np.random.default_rng(0)
