@@ -15,24 +15,22 @@ import sys
 import numpy as np
 
 from qsmooth import cli, smoothing
-from qsmooth.dynamics import ModelParams, build_step_operators, filter_batch
+from qsmooth.dynamics import build_step_operators, filter_batch
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--omega", type=float, default=5.0)
-    ap.add_argument("--nbar", type=float, default=0.5)
-    ap.add_argument("--dt", type=float, default=1e-3)
-    ap.add_argument("--t-final", type=float, default=7.5)
-    ap.add_argument("--seed", type=int, default=0)
+    # the CLI's flags for these keys; their defaults come from `cli._KEYS`
+    for key in ("omega", "nbar", "dt", "t_final", "seed"):
+        ap.add_argument(f"--{key.replace('_', '-')}", dest=key)
     ap.add_argument("--detections", type=int, default=1,
                     help="number of clicks the record must contain")
     ap.add_argument("--max-scan", type=int, default=512)
     ap.add_argument("--out", default="trajectory.csv")
     args = ap.parse_args()
 
-    p = ModelParams(omega=args.omega, nbar=args.nbar, unraveling="jump",
-                    dt=args.dt, t_final=args.t_final, seed=args.seed)
+    cfg = cli.resolve_config(args)  # unraveling stays jump, which the click scan needs
+    p = cli.build_params(cfg)
     ops = build_step_operators(p)
     chosen = None
     for start in range(0, args.max_scan, 64):
@@ -53,10 +51,7 @@ def main():
 
     bf = smoothing.qubit_statistics(res.filtered_coords.T)[1]
     bs = smoothing.qubit_statistics(res.smoothed_coords.T)[1]
-    cfg = {"omega": args.omega, "nbar": args.nbar, "dt": args.dt,
-           "t_final": args.t_final, "seed": args.seed, "traj_index": chosen,
-           "unraveling": "jump", "format": "csv", "out": args.out}
-    cli._write(cfg, [
+    cli._write({**cfg, "traj_index": chosen}, [
         ("t", "times", res.times),
         ("outcome", "outcome", np.concatenate([[np.nan], res.record])),
         ("fx,fy,fz", "filtered_bloch", bf.T),

@@ -1,7 +1,7 @@
 """Command-line entry point: run orchestration and file serialization.
 
-Subcommands
------------
+Commands
+--------
 simulate        one filtered + smoothed trajectory, CSV or JSON
 ensemble        Monte-Carlo average purities and ensemble means
 validate        run the built-in consistency checks, JSON report
@@ -19,6 +19,7 @@ Exit codes: 0 ok, 1 validation failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -27,7 +28,6 @@ import numpy as np
 from . import checks, classical, ensemble, qmath, smoothing
 from .dynamics import (
     UNRAVELINGS,
-    InvalidParamsError,
     ModelParams,
     build_step_operators,
     to_vector,
@@ -48,26 +48,59 @@ class CheckFailure(Exception):
 
 # -- configuration -----------------------------------------------------------
 
-# key: (type, default, help); every key is both a config-file key and a flag
+def _at_least_one(n):
+    if n < 1:
+        raise ValueError(f"must be at least 1, got {n}")
+    return n
+
+
+def _bloch_state(text):
+    """The qubit state of the Bloch components in the text 'x,y,z'."""
+    try:
+        x, y, z = map(float, text.split(","))
+    except ValueError:
+        raise ValueError(f"expects 'x,y,z' Bloch components, got {text!r}") from None
+    return qmath.bloch_state(x, y, z)
+
+
+def _bloch_text(text):
+    _bloch_state(text)  # checked here; outputs echo the text
+    return text
+
+
+def _smoother_list(text):
+    smoothers = tuple(s.strip() for s in text.split(",") if s.strip())
+    bad = set(smoothers) - set(SMOOTHERS)
+    if bad:
+        raise ValueError(f"names unknown {sorted(bad)}; choose from {SMOOTHERS}")
+    if "petz_fuchs" in smoothers and "recursive" in smoothers:
+        raise ValueError("names both petz_fuchs and recursive; choose one")
+    return smoothers or ("petz_fuchs",)
+
+
+# key: (type, default, rule, help); every key is both a config-file key and a
+# flag. A rule is the tuple of allowed values, or a function from the typed
+# value to the value kept that raises ValueError on a bad one.
 _KEYS = {
-    "omega": (float, 5.0, None),
-    "nbar": (float, 0.5, None),
-    "gamma": (float, 1.0, None),
-    "unraveling": (str, "jump", f"one of {UNRAVELINGS}"),
-    "phi": (float, None, None),
-    "dt": (float, 1e-3, None),
-    "t_final": (float, 7.5, None),
-    "eta": (float, 1.0, None),
-    "seed": (int, 0, None),
-    "rho0": (str, "0,0,-1", "initial state Bloch components 'x,y,z'"),
-    "n_traj": (int, 100, None),
-    "n_bob": (int, 500, None),
-    "bob_unraveling": (str, "jump", None),
-    "smoothers": (str, "petz_fuchs", f"comma list from {SMOOTHERS}"),
-    "format": (str, "csv", None),
-    "out": (str, None, "output path ('-' for stdout)"),
-    "demo_uniform": (int, 0, None),
+    "omega": (float, 5.0, None, None),
+    "nbar": (float, 0.5, None, None),
+    "gamma": (float, 1.0, None, None),
+    "unraveling": (str, "jump", UNRAVELINGS, None),
+    "phi": (float, None, None, None),
+    "dt": (float, 1e-3, None, None),
+    "t_final": (float, 7.5, None, None),
+    "eta": (float, 1.0, None, None),
+    "seed": (int, 0, None, None),
+    "rho0": (str, "0,0,-1", _bloch_text, "initial state Bloch components 'x,y,z'"),
+    "n_traj": (int, 100, _at_least_one, None),
+    "n_bob": (int, 500, _at_least_one, None),
+    "bob_unraveling": (str, "jump", UNRAVELINGS, None),
+    "smoothers": (str, ("petz_fuchs",), _smoother_list, f"comma list from {SMOOTHERS}"),
+    "format": (str, "csv", ("csv", "json"), None),
+    "out": (str, None, None, "output path ('-' for stdout)"),
+    "demo_uniform": (int, 0, None, None),
 }
+
 
 def load_config_file(path):
     """Parse a flat key=value file; returns {key: (raw, line_number)}."""
@@ -75,7 +108,7 @@ def load_config_file(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read config file: {exc}")
     for ln, line in enumerate(lines, start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -92,67 +125,49 @@ def load_config_file(path):
 
 
 def _coerce(key, raw, where):
-    kind = _KEYS[key][0]
+    kind, _, rule, _ = _KEYS[key]
     try:
-        return kind(raw)
+        value = kind(raw)
     except ValueError:
         expects = "a number" if kind is float else "an integer"
-        raise ConfigError(f"{where}: key {key!r} expects {expects}, got {raw!r}")
+        raise ConfigError(f"{where}: {key} expects {expects}, got {raw!r}")
+    try:
+        if isinstance(rule, tuple) and value not in rule:
+            raise ValueError(f"must be one of {rule}, got {raw!r}")
+        return rule(value) if callable(rule) else value
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {key} {exc}")
 
 
 def resolve_config(args):
-    """Merge defaults, config file, and flags into one typed dict."""
-    cfg = {key: default for key, (_, default, _) in _KEYS.items()}
-    if args.config:
-        for key, (raw, ln) in load_config_file(args.config).items():
-            cfg[key] = _coerce(key, raw, f"{args.config}:{ln}")
+    """Merge defaults, config file and flags (any `args` holds) into one
+    dict, and check that it gives a model. An error in one key's value
+    names the file and line or the flag it came from."""
+    cfg = {key: row[1] for key, row in _KEYS.items()}
+    origin = {}
+    path = getattr(args, "config", None)
+    if path:
+        for key, (raw, ln) in load_config_file(path).items():
+            origin[key] = f"{path}:{ln}"
+            cfg[key] = _coerce(key, raw, origin[key])
     for key in _KEYS:
-        flag = getattr(args, key)
+        flag = getattr(args, key, None)
         if flag is not None:
-            cfg[key] = _coerce(key, flag, f"--{key.replace('_', '-')}")
-    if cfg["unraveling"] not in UNRAVELINGS:
-        raise ConfigError(f"unraveling must be one of {UNRAVELINGS}, got {cfg['unraveling']!r}")
-    if cfg["bob_unraveling"] not in UNRAVELINGS:
-        raise ConfigError(f"bob_unraveling must be one of {UNRAVELINGS}, "
-                          f"got {cfg['bob_unraveling']!r}")
-    for key in ("n_traj", "n_bob"):
-        if cfg[key] < 1:
-            raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
-    if cfg["format"] not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {cfg['format']!r}")
-    smoothers = tuple(s.strip() for s in cfg["smoothers"].split(",") if s.strip())
-    bad = set(smoothers) - set(SMOOTHERS)
-    if bad:
-        raise ConfigError(f"unknown smoothers: {sorted(bad)}; choose from {SMOOTHERS}")
-    if "petz_fuchs" in smoothers and "recursive" in smoothers:
-        raise ConfigError("choose one of petz_fuchs or recursive for the smoothed columns")
-    cfg["smoothers"] = smoothers or ("petz_fuchs",)
+            origin[key] = f"--{key.replace('_', '-')}"
+            cfg[key] = _coerce(key, flag, origin[key])
+    build_params(cfg, origin)
     return cfg
 
 
-def _parse_bloch(raw):
+def build_params(cfg, origin=None, **overrides):
+    """ModelParams of the config, with any fields in `overrides` replaced.
+    A rule over one field that fails names where `origin` says it was set."""
+    fields = {f.name: cfg[f.name] for f in dataclasses.fields(ModelParams)}
     try:
-        parts = [float(x) for x in raw.split(",")]
-        if len(parts) != 3:
-            raise ValueError
-    except ValueError:
-        raise ConfigError(f"rho0 expects 'x,y,z' Bloch components, got {raw!r}")
-    try:
-        return qmath.bloch_state(*parts)
+        return ModelParams(**{**fields, "rho0": _bloch_state(cfg["rho0"]), **overrides})
     except ValueError as exc:
-        raise ConfigError(f"rho0: {exc}")
-
-
-def build_params(cfg, **overrides):
-    """ModelParams of the config, with any fields in `overrides` replaced."""
-    fields = dict(omega=cfg["omega"], nbar=cfg["nbar"], gamma=cfg["gamma"],
-                  unraveling=cfg["unraveling"], phi=cfg["phi"], dt=cfg["dt"],
-                  t_final=cfg["t_final"], rho0=_parse_bloch(cfg["rho0"]),
-                  eta=cfg["eta"], seed=cfg["seed"])
-    try:
-        return ModelParams(**{**fields, **overrides})
-    except InvalidParamsError as exc:
-        raise ConfigError(str(exc))
+        field = getattr(exc, "field", None)
+        raise ConfigError(f"{origin[field]}: {exc}" if field in (origin or {}) else str(exc))
 
 
 def _preamble(cfg):
@@ -209,8 +224,11 @@ def _emit(path, text):
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"{path}: cannot write output: {exc}")
 
 
 def _json_config(cfg):
@@ -377,15 +395,16 @@ _COMMANDS = {
 
 
 def build_parser():
+    """One parser for every command; flags may come before or after it."""
     parser = argparse.ArgumentParser(
-        prog="qsmooth",
-        description="Quantum trajectory filtering and retrodictive smoothing")
-    subs = parser.add_subparsers(dest="command", required=True)
-    for name, (_, doc) in _COMMANDS.items():
-        sub = subs.add_parser(name, help=doc)
-        sub.add_argument("--config", help="key = value configuration file")
-        for key, (_, _, text) in _KEYS.items():
-            sub.add_argument(f"--{key.replace('_', '-')}", dest=key, help=text)
+        prog="qsmooth", formatter_class=argparse.RawDescriptionHelpFormatter,
+        description="Quantum trajectory filtering and retrodictive smoothing",
+        epilog="commands:\n" + "\n".join(f"  {n:<16}{doc}" for n, (_, doc) in _COMMANDS.items()))
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", help="key = value configuration file")
+    for key, (_, _, rule, text) in _KEYS.items():
+        choices = "{" + ",".join(rule) + "}" if isinstance(rule, tuple) else None
+        parser.add_argument(f"--{key.replace('_', '-')}", dest=key, help=text, metavar=choices)
     return parser
 
 

@@ -56,7 +56,12 @@ _DEFAULT_PHI = {"homodyne_x": 0.0, "homodyne_y": np.pi / 2}
 
 
 class InvalidParamsError(ValueError):
-    """Model parameters fail validation."""
+    """Model parameters fail validation. `field` is the field at fault when
+    the rule that failed reads that field alone, and None otherwise."""
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
 
 
 def _validated_rho0(rho0):
@@ -101,23 +106,24 @@ class ModelParams:
     def __post_init__(self):
         if self.unraveling not in UNRAVELINGS:
             raise InvalidParamsError(
-                f"unraveling must be one of {UNRAVELINGS}, got {self.unraveling!r}")
+                f"unraveling must be one of {UNRAVELINGS}, got {self.unraveling!r}", "unraveling")
         for name in ("omega", "nbar", "gamma", "phi", "t_final"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
-                raise InvalidParamsError(f"{name} must be finite, got {value}")
+                raise InvalidParamsError(f"{name} must be finite, got {value}", name)
         if not (self.gamma > 0):
-            raise InvalidParamsError("gamma must be positive")
+            raise InvalidParamsError("gamma must be positive", "gamma")
         if self.nbar < 0:
-            raise InvalidParamsError("nbar must be nonnegative")
+            raise InvalidParamsError("nbar must be nonnegative", "nbar")
         if not (0.0 <= self.eta <= 1.0):
-            raise InvalidParamsError("eta must lie in [0, 1]")
+            raise InvalidParamsError("eta must lie in [0, 1]", "eta")
         if not (self.dt > 0):
-            raise InvalidParamsError("dt must be positive")
+            raise InvalidParamsError("dt must be positive", "dt")
         if self.t_final < self.dt:
             raise InvalidParamsError("t_final must be at least dt")
         if self.seed < 0 or self.seed % 1 != 0:
-            raise InvalidParamsError(f"seed must be a nonnegative integer, got {self.seed}")
+            raise InvalidParamsError(
+                f"seed must be a nonnegative integer, got {self.seed}", "seed")
         # The no-event roots sqrt(1 - c^dag c dt) and sqrt(1 - sum L^dag L dt)
         # need both arguments PSD.
         _, c, unmeasured = model_operators(self)

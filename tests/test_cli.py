@@ -250,6 +250,19 @@ class TestConfigFile:
     def test_missing_file(self, capsys):
         assert run(["simulate", "--config", "/nonexistent/x.cfg"]) == 2
 
+    def test_file_not_utf8_is_config_error(self, tmp_path, capsys):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_bytes(b"omega = 5\xff\n")
+        assert run(["simulate", "--config", str(cfgfile)]) == 2
+        err = capsys.readouterr().err
+        assert f"qsmooth: config error: {cfgfile}: cannot read config file" in err
+
+    def test_unwritable_output_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert run(["simulate", "--t-final", "0.01", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"qsmooth: config error: {out}: cannot write output" in err
+
 
 class TestIntegerRange:
     @pytest.mark.parametrize("args", [
@@ -270,22 +283,38 @@ class TestIntegerRange:
         ["simulate", "--t-final", "nan"],
         ["simulate", "--seed", "1.5"],
         ["simulate", "--format", "xml"],
-        # the text after --config is written to a config file
+        # the text after --config is written to a config file, and the
+        # error must name the file and line
         ["simulate", "--config", "omega 5"],
         ["simulate", "--config", "format = xml"],
+        ["simulate", "--config", "unraveling = heterodyne"],
+        ["simulate", "--smoothers", "gw", "--config", "bob_unraveling = heterodyne"],
+        ["simulate", "--config", "smoothers = kalman"],
+        ["simulate", "--config", "smoothers = recursive,petz_fuchs"],
+        ["simulate", "--config", "rho0 = 0,1"],
+        ["simulate", "--config", "rho0 = 0.8,0,0.8"],
+        ["ensemble", "--config", "n_traj = 0"],
+        ["simulate", "--smoothers", "gw", "--config", "n_bob = 0"],
+        # the model's rules over a single field
+        ["simulate", "--config", "nbar = -1"],
+        ["simulate", "--config", "omega = inf"],
+        ["validate", "--config", "seed = -1"],
     ], ids=" ".join)
     def test_out_of_range_is_config_error(self, args, tmp_path, capsys):
+        text, where = " ".join(args), None
         if "--config" in args:
             cfgfile = tmp_path / "run.cfg"
             cfgfile.write_text(args[-1] + "\n")
-            args = args[:-1] + [str(cfgfile)]
+            args, where = args[:-1] + [str(cfgfile)], f"{cfgfile}:1"
         if "--t-final" not in args:
             args = args + ["--t-final", "0.01"]
         assert run(args + ["--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert "qsmooth: config error:" in err
-        if "heterodyne" in args:
+        if "heterodyne" in text:
             assert "got 'heterodyne'" in err
+        if where:
+            assert where in err
         assert not (tmp_path / "x").exists()
 
     def test_single_second_observer_sample_is_numerical_failure(self, tmp_path, capsys):
@@ -407,7 +436,17 @@ class TestClassicalDemo:
 
 class TestHelp:
     def test_help_exits_zero(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["--help"])
-        assert exc.value.code == 0
-        assert "simulate" in capsys.readouterr().out
+        for argv in (["--help"], ["simulate", "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            out = capsys.readouterr().out
+            for command in ("simulate", "ensemble", "validate", "classical-demo"):
+                assert command in out
+            assert "--format {csv,json}" in out
+
+    def test_flags_before_the_command(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run(["simulate", "--seed", "3", "--t-final", "0.02", "--out", str(a)]) == 0
+        assert run(["--seed", "3", "--t-final", "0.02", "simulate", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()

@@ -130,14 +130,16 @@ class TestStepOperators:
         assert np.max(np.abs(total - np.eye(2))) < 1e-12
 
     def test_homodyne_ostensible_completeness_scales_quadratically(self):
-        # E_y[M^dag M] - 1 under the ostensible Gaussian, evaluated in
-        # closed form: the residual must shrink ~dt^2.
+        # E_y[M_y^dag M_y] - 1 under the ostensible Gaussian (mean 0,
+        # variance 1/dt), with M_y = base + y lin read off the operators:
+        # the residual must shrink ~dt^2.
         resid = {}
         for dt in (1e-2, 1e-3):
             ops = build_step_operators(params(unraveling="homodyne_x", dt=dt))
-            y2 = ops.ctc * dt
-            a = np.eye(2) - 0.5 * y2 + 0.125 * mm(y2, y2)
-            resid[dt] = np.max(np.abs(mm(a, a) + y2 - np.eye(2)))
+            base = ops.measurement_op(0.0)
+            lin = ops.measurement_op(1.0) - base
+            resid[dt] = np.max(np.abs(mm(dag(base), base) + mm(dag(lin), lin) / dt
+                                      - np.eye(2)))
         ratio = resid[1e-2] / resid[1e-3]
         assert 50.0 < ratio < 200.0
         assert resid[1e-2] < 0.75 * (np.linalg.norm(
